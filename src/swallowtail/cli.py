@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every command prints one JSON envelope (see ``schema``) to stdout.  Exit
-codes: 0 success, 2 bad flags or out-of-domain input, 3 tolerance or
-convergence failure, 4 stalled path tracing, 5 unwritable output path.
+codes: 0 success, 1 stdout closed early (broken pipe), 2 bad flags or
+out-of-domain input, 3 tolerance or convergence failure, 4 stalled path
+tracing, 5 unwritable output path.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -40,6 +42,7 @@ from .zeros import RefineConfig, axis_confinement_scan, modulus_scan, refine_on_
 # the CLI points users at leading_q00 / predicted_zeros instead.
 LAMBDA_WARN_THRESHOLD = 1e4
 
+EXIT_BROKEN_PIPE = 1
 EXIT_BAD_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_PATH_STALLED = 4
@@ -58,6 +61,7 @@ def _emit(command: str, params_echo: dict, results: dict) -> None:
     }
     json.dump(envelope, sys.stdout, indent=2)
     sys.stdout.write("\n")
+    sys.stdout.flush()      # a closed pipe surfaces inside main, not at exit
 
 
 def _quad_config(args) -> QuadratureConfig:
@@ -66,6 +70,11 @@ def _quad_config(args) -> QuadratureConfig:
         max_subdivisions=args.max_subdivisions,
         truncation_safety=args.safety,
     )
+
+
+def _quad_echo(cfg: QuadratureConfig) -> dict:
+    return {"tol": cfg.target_abs_tol, "max_subdivisions": cfg.max_subdivisions,
+            "safety": cfg.truncation_safety}
 
 
 def _add_quad_flags(parser, default_tol=1e-10):
@@ -93,9 +102,7 @@ def cmd_eval(args) -> int:
         )
     result = eval_s(p, cfg) if p.form is Form.S else eval_q(p, cfg)
     _emit("eval", {
-        "x": args.x, "y": args.y, "z": args.z, "form": args.form,
-        "tol": cfg.target_abs_tol, "max_subdivisions": cfg.max_subdivisions,
-        "safety": cfg.truncation_safety,
+        "x": args.x, "y": args.y, "z": args.z, "form": args.form, **_quad_echo(cfg),
     }, {
         "re": result.value.real,
         "im": result.value.imag,
@@ -164,8 +171,9 @@ def cmd_zeros_refine(args) -> int:
     refined = refine_on_axis(seed, cfg)
     _emit("zeros-refine", {
         "branch": args.branch, "m": args.m, "residual_tol": cfg.residual_tol,
-        "residual_mode": cfg.residual_mode, "tol": args.tol,
-        "max_iterations": cfg.max_iterations, "max_abs_z": cfg.max_abs_z,
+        "residual_mode": cfg.residual_mode, "max_iterations": cfg.max_iterations,
+        "max_backtracks": cfg.max_backtracks, "max_abs_z": cfg.max_abs_z,
+        **_quad_echo(cfg.quadrature),
     }, {
         "branch": refined.branch.value,
         "m": refined.m,
@@ -185,8 +193,8 @@ def cmd_zeros_confine(args) -> int:
     record = axis_confinement_scan(args.y0, _BRANCHES[args.branch], args.m, cfg)
     _emit("zeros-confine", {
         "y0": args.y0, "branch": args.branch, "m": args.m,
-        "modulus_tol": cfg.residual_tol, "tol": args.tol,
-        "max_iterations": cfg.max_iterations,
+        "modulus_tol": cfg.residual_tol, "max_iterations": cfg.max_iterations,
+        "max_backtracks": cfg.max_backtracks, **_quad_echo(cfg.quadrature),
     }, {
         "seed_y": record.seed_y,
         "seed_z": record.seed_z,
@@ -224,8 +232,7 @@ def cmd_scan(args) -> int:
     _emit("scan", {
         "y_range": list(args.y_range), "z_range": list(args.z_range),
         "ny": args.ny, "nz": args.nz, "out": args.out, "format": args.format,
-        "tol": cfg.target_abs_tol, "max_subdivisions": cfg.max_subdivisions,
-        "safety": cfg.truncation_safety, "workers": args.workers,
+        **_quad_echo(cfg), "workers": args.workers,
     }, {
         "out_path": args.out,
         "format": args.format,
@@ -318,6 +325,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader left (`| head`); as the Python docs on SIGPIPE advise,
+        # point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, DomainError, DegenerateScaling, SeedOutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

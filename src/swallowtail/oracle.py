@@ -9,16 +9,14 @@ what (x, y, z) are.  Everything else is standard machinery: an a-priori
 truncation radius with a certified tail bound, and an adaptive Gauss-Kronrod
 rule on each truncated ray.
 
-The moment evaluator integrates t^k times the same exponential and feeds the
-parameter derivatives used by Newton refinement:
+One kernel integrates t^k times the same exponential for several k at once;
+these moments feed the parameter derivatives used by Newton refinement:
 
     dQ/dz = i * moment_1,   dQ/dy = (i/2) * moment_2,   dQ/dx = (i/3) * moment_3.
 """
 
 from __future__ import annotations
 
-import cmath
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -64,6 +62,8 @@ _WG_FULL = np.zeros(15)
 _WG_FULL[1:7:2] = _WG[:3]          # Gauss nodes sit at every second Kronrod node
 _WG_FULL[7] = _WG[3]
 _WG_FULL[9:15:2] = _WG[2::-1]
+# Columns: the Kronrod rule and the Kronrod-minus-Gauss difference rule.
+_RULES = np.stack((_WK_FULL, _WK_FULL - _WG_FULL), axis=1)
 
 
 @dataclass(frozen=True)
@@ -96,47 +96,6 @@ class EvalResult:
             raise ValueError("abs_error_estimate must be finite and nonnegative")
 
 
-def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod panel: Kronrod value plus error estimate."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fx = f(c + h * _NODES)
-    k15 = h * np.dot(_WK_FULL, fx)
-    g7 = h * np.dot(_WG_FULL, fx)
-    d = abs(k15 - g7)
-    err = min(d, (200.0 * d) ** 1.5) if d > 0.0 else 0.0
-    return complex(k15), err
-
-
-def _adaptive(f, a: float, b: float, abs_tol: float, max_panels: int):
-    """Worst-panel-first bisection until the summed estimate meets abs_tol.
-
-    Returns (value, error_sum, panel_count, converged).
-    """
-    n0 = 8
-    edges = np.linspace(a, b, n0 + 1)
-    heap = []
-    total = 0.0 + 0.0j
-    err_sum = 0.0
-    for i in range(n0):
-        v, e = _gk15(f, edges[i], edges[i + 1])
-        total += v
-        err_sum += e
-        heapq.heappush(heap, (-e, edges[i], edges[i + 1], v))
-    panels = n0
-    while err_sum > abs_tol and panels < max_panels:
-        neg_e, lo, hi, v_old = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        total += v1 + v2 - v_old
-        err_sum += e1 + e2 - (-neg_e)
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
-        panels += 1
-    return total, err_sum, panels, err_sum <= abs_tol
-
-
 def _truncation_radius(x: float, y: float, z: float, k: int, log_target: float,
                        sin5: float) -> float:
     """Smallest radius beyond which the integrand tail is provably negligible.
@@ -164,9 +123,33 @@ def _truncation_radius(x: float, y: float, z: float, k: int, log_target: float,
     return r_min * (1.0 + 1e-9) + 1e-12
 
 
-def _contour_integral(x: float, y: float, z: float, k: int, cfg: QuadratureConfig,
-                      ray_angles=DEFAULT_RAY_ANGLES, radius_factor: float = 1.0) -> EvalResult:
-    """Integrate t^k exp[i(t^5/5 + x t^3/3 + y t^2/2 + z t)] over the contour."""
+def _panels(lo, hi, w, x: float, y: float, z: float, powers):
+    """G7/K15 on a batch of panels: Kronrod values and error estimates.
+
+    Panel i spans r in [lo[i], hi[i]] on the ray t = r * w[i]; column j of
+    both (panels, len(powers)) results integrates t^powers[j] exp(i*phase(t)).
+    """
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    t = (c[:, None] + h[:, None] * _NODES) * w[:, None]
+    f = np.exp(1j * t * (z + t * (0.5 * y + t * (x / 3.0 + 0.2 * t * t))))
+    fk = f[:, None, :] * t[:, None, :] ** powers[:, None]
+    sums = h[:, None, None] * (fk @ _RULES)
+    d = np.abs(sums[..., 1])
+    return sums[..., 0], np.minimum(d, (200.0 * d) ** 1.5)
+
+
+def _integrate(x: float, y: float, z: float, ks, cfg: QuadratureConfig,
+               ray_angles=DEFAULT_RAY_ANGLES,
+               radius_factor: float = 1.0) -> tuple[EvalResult, ...]:
+    """Integrate t^k exp[i(t^5/5 + x t^3/3 + y t^2/2 + z t)] over the contour.
+
+    Returns one EvalResult per k in ``ks``.  All panels of both rays form one
+    (panels x 15) node array and exp(i*phase) is computed once per node.  Each
+    round, every ray whose estimate (worst k) exceeds its budget bisects its
+    largest-error panels until the errors they carry cover the excess, within
+    the ray's remaining ``max_subdivisions``.
+    """
     theta_in, theta_out = ray_angles
     sin5 = min(math.sin(5.0 * theta_in), math.sin(5.0 * theta_out))
     if sin5 <= 1e-6:
@@ -177,45 +160,56 @@ def _contour_integral(x: float, y: float, z: float, k: int, cfg: QuadratureConfi
     safety = cfg.truncation_safety
     tol = cfg.target_abs_tol
     log_target = math.log(2.0 * safety / tol)
-    radius = _truncation_radius(x, y, z, k, log_target, sin5) * radius_factor
+    # beyond r = 1, r^k <= r^max(ks): the largest power's radius covers every tail
+    radius = _truncation_radius(x, y, z, max(ks), log_target, sin5) * radius_factor
     trunc_bound = tol / safety          # both ray tails combined
     ray_budget = 0.5 * tol * (1.0 - 1.0 / safety)
+    powers = np.asarray(ks)
+    w = np.exp(1j * np.array([theta_out, theta_in]))
 
-    def make_integrand(theta: float):
-        w = cmath.exp(1j * theta)
-        w2, w3, w5 = w * w, w ** 3, w ** 5
-        wk = w ** k
+    # one row per panel; ray 0 leaves the origin, ray 1 comes in to it
+    edges = np.linspace(0.0, radius, 9)
+    lo, hi = np.tile(edges[:-1], 2), np.tile(edges[1:], 2)
+    ray = np.repeat([0, 1], 8)
+    val, err = _panels(lo, hi, w[ray], x, y, z, powers)
+    while True:
+        on_ray = [ray == r for r in (0, 1)]
+        ray_err = np.array([err[m].sum(axis=0) for m in on_ray])
+        split = []
+        for m, e in zip(on_ray, ray_err):
+            worst = int(np.argmax(e))
+            room = cfg.max_subdivisions - int(np.count_nonzero(m))
+            if e[worst] > ray_budget and room > 0:
+                idx = np.flatnonzero(m)
+                idx = idx[np.argsort(-err[idx, worst], kind="stable")]
+                n = np.searchsorted(np.cumsum(err[idx, worst]), e[worst] - ray_budget) + 1
+                split.extend(idx[:min(n, room)])
+        if not split:
+            break
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        new_ray = np.tile(ray[split], 2)
+        new_val, new_err = _panels(new_lo, new_hi, w[new_ray], x, y, z, powers)
+        keep = np.ones(lo.size, dtype=bool)
+        keep[split] = False
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        ray = np.concatenate((ray[keep], new_ray))
+        val = np.concatenate((val[keep], new_val))
+        err = np.concatenate((err[keep], new_err))
 
-        def integrand(r: np.ndarray) -> np.ndarray:
-            phase = (
-                (r ** 5) * (w5 / 5.0)
-                + (r ** 3) * (x * w3 / 3.0)
-                + (r ** 2) * (y * w2 / 2.0)
-                + r * (z * w)
-            )
-            base = np.exp(1j * phase)
-            if k:
-                base = base * (r ** k * wk)
-            return base
-
-        return integrand, w
-
-    f_out, w_out = make_integrand(theta_out)
-    f_in, w_in = make_integrand(theta_in)
-
-    val_out, err_out, n_out, ok_out = _adaptive(f_out, 0.0, radius, ray_budget, cfg.max_subdivisions)
-    val_in, err_in, n_in, ok_in = _adaptive(f_in, 0.0, radius, ray_budget, cfg.max_subdivisions)
-
-    value = w_out * val_out - w_in * val_in
-    estimate = err_out + err_in + trunc_bound
-    result = EvalResult(value, estimate, n_out + n_in)
-    if not (ok_out and ok_in):
+    values = w[0] * val[on_ray[0]].sum(axis=0) - w[1] * val[on_ray[1]].sum(axis=0)
+    estimates = ray_err.sum(axis=0) + trunc_bound
+    results = tuple(EvalResult(complex(v), float(e), lo.size)
+                    for v, e in zip(values, estimates))
+    if ray_err.max() > ray_budget:
         raise ToleranceNotReached(
-            f"quadrature estimate {estimate:.3e} above target {tol:.3e} "
-            f"after {n_out + n_in} panels",
-            partial=result,
+            f"quadrature estimate {estimates.max():.3e} above target {tol:.3e} "
+            f"after {lo.size} panels",
+            partial=results[0],
         )
-    return result
+    return results
 
 
 def eval_q(p: Params, cfg: QuadratureConfig | None = None, *,
@@ -228,8 +222,8 @@ def eval_q(p: Params, cfg: QuadratureConfig | None = None, *,
     """
     if p.form is not Form.Q:
         raise ValueError("eval_q expects form=Q parameters; use eval_s or s_to_q")
-    cfg = cfg or QuadratureConfig()
-    return _contour_integral(p.x, p.y, p.z, 0, cfg, ray_angles, radius_factor)
+    return _integrate(p.x, p.y, p.z, (0,), cfg or QuadratureConfig(),
+                      ray_angles, radius_factor)[0]
 
 
 def eval_s(p: Params, cfg: QuadratureConfig | None = None) -> EvalResult:
@@ -251,5 +245,4 @@ def eval_q_moment(p: Params, k: int, cfg: QuadratureConfig | None = None) -> Eva
         raise ValueError("moment order k must be 1, 2 or 3")
     if p.form is not Form.Q:
         raise ValueError("eval_q_moment expects form=Q parameters")
-    cfg = cfg or QuadratureConfig()
-    return _contour_integral(p.x, p.y, p.z, k, cfg)
+    return _integrate(p.x, p.y, p.z, (k,), cfg or QuadratureConfig())[0]

@@ -108,7 +108,6 @@ class SteepestPath:
     saddle_index: int
     points: tuple
     terminal_sector: int
-    descending: bool = True
 
     def to_polyline(self):
         """Plain [re, im] pairs for JSON export."""

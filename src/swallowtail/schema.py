@@ -12,8 +12,6 @@ command-specific results payload.
 
 from __future__ import annotations
 
-import jsonschema
-
 ENVELOPE_SCHEMA_VERSION = "1"
 
 COMMANDS = (
@@ -149,5 +147,6 @@ RESULT_SCHEMAS = {
 
 def validate_envelope(envelope: dict) -> None:
     """Raise jsonschema.ValidationError if the envelope is malformed."""
+    import jsonschema       # here, not at module level: the CLI starts without it
     jsonschema.validate(envelope, ENVELOPE_SCHEMA)
     jsonschema.validate(envelope["results"], RESULT_SCHEMAS[envelope["command"]])

@@ -14,12 +14,13 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .asymptotics import Branch, ZeroPrediction, axis_envelope, predicted_zeros
 from .errors import NoConvergence, SeedOutOfRange, ToleranceNotReached
-from .oracle import EvalResult, QuadratureConfig, eval_q, eval_q_moment
+from .oracle import EvalResult, QuadratureConfig, _integrate, eval_q
 from .params import Form, Params
 
 # Beyond these bounds a 2D Newton iterate is recorded as divergent.
@@ -65,7 +66,6 @@ class RefineConfig:
     max_iterations: int = 25
     max_backtracks: int = 6
     max_abs_z: float = 12.0
-    axis_tol: float = 1e-6
     residual_mode: str = "abs"
     quadrature: QuadratureConfig = field(
         default_factory=lambda: QuadratureConfig(target_abs_tol=1e-11))
@@ -75,12 +75,10 @@ class RefineConfig:
             raise ValueError("residual_mode must be 'abs' or 'rel'")
 
 
-def _q_axis(z: float, cfg: QuadratureConfig) -> float:
-    return eval_q(Params(0.0, 0.0, z), cfg).value.real
-
-
-def _dq_dz_axis(z: float, cfg: QuadratureConfig) -> float:
-    return (1j * eval_q_moment(Params(0.0, 0.0, z), 1, cfg).value).real
+def _q_axis(z: float, cfg: QuadratureConfig):
+    """Q and dQ/dz on the axis, where both are real, from one kernel call."""
+    q, m1 = _integrate(0.0, 0.0, z, (0, 1), cfg)
+    return q.value.real, (1j * m1.value).real
 
 
 def refine_on_axis(seed: ZeroPrediction, cfg: RefineConfig | None = None) -> RefinedZero:
@@ -103,23 +101,22 @@ def refine_on_axis(seed: ZeroPrediction, cfg: RefineConfig | None = None) -> Ref
             return cfg.residual_tol * axis_envelope(z_val)
         return cfg.residual_tol
 
-    g = _q_axis(z, quad)
+    g, gp = _q_axis(z, quad)
     for it in range(1, cfg.max_iterations + 1):
         if abs(g) < tol_at(z):
             return RefinedZero(z, seed.m, seed.branch, abs(g), it - 1)
-        gp = _dq_dz_axis(z, quad)
         if gp == 0.0 or not math.isfinite(gp):
             raise NoConvergence(f"vanishing derivative at z = {z:.6f}")
         step = -g / gp
         z_new = z + step
-        g_new = _q_axis(z_new, quad)
+        g_new, gp_new = _q_axis(z_new, quad)
         for _ in range(cfg.max_backtracks):
             if abs(g_new) < abs(g):
                 break
             step *= 0.5
             z_new = z + step
-            g_new = _q_axis(z_new, quad)
-        z, g = z_new, g_new
+            g_new, gp_new = _q_axis(z_new, quad)
+        z, g, gp = z_new, g_new, gp_new
     if abs(g) < tol_at(z):
         return RefinedZero(z, seed.m, seed.branch, abs(g), cfg.max_iterations)
     raise NoConvergence(
@@ -134,10 +131,10 @@ def _q_and_jacobian(y: float, z: float, quad: QuadratureConfig):
     conjugation symmetry are zeroed explicitly, which makes the axis an
     exactly invariant set of the Newton iteration.
     """
-    p = Params(0.0, y, z)
-    q = eval_q(p, quad).value
-    dq_dy = 0.5j * eval_q_moment(p, 2, quad).value
-    dq_dz = 1j * eval_q_moment(p, 1, quad).value
+    m0, m1, m2 = _integrate(0.0, y, z, (0, 1, 2), quad)
+    q = m0.value
+    dq_dy = 0.5j * m2.value
+    dq_dz = 1j * m1.value
     if y == 0.0:
         q = complex(q.real, 0.0)
         dq_dy = complex(0.0, dq_dy.imag)
@@ -252,9 +249,7 @@ class ScanGrid:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
-def _scan_cell(args):
-    y, z, tol, max_sub, safety = args
-    cfg = QuadratureConfig(tol, max_sub, safety)
+def _scan_cell(y: float, z: float, cfg: QuadratureConfig):
     try:
         r = eval_q(Params(0.0, y, z), cfg)
         return abs(r.value), "ok"
@@ -280,13 +275,13 @@ def modulus_scan(y_range, z_range, ny: int, nz: int,
     cfg = cfg or QuadratureConfig()
     ys = np.linspace(y_range[0], y_range[1], ny)
     zs = np.linspace(z_range[0], z_range[1], nz)
-    jobs = [(float(y), float(z), cfg.target_abs_tol, cfg.max_subdivisions,
-             cfg.truncation_safety) for y in ys for z in zs]
+    cell_y, cell_z = (g.ravel().tolist() for g in np.meshgrid(ys, zs, indexing="ij"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_scan_cell, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+            cells = list(pool.map(_scan_cell, cell_y, cell_z, repeat(cfg),
+                                  chunksize=max(1, len(cell_y) // (4 * workers))))
     else:
-        cells = [_scan_cell(j) for j in jobs]
+        cells = list(map(_scan_cell, cell_y, cell_z, repeat(cfg)))
     abs_rows = tuple(tuple(cells[i * nz + j][0] for j in range(nz)) for i in range(ny))
     flag_rows = tuple(tuple(cells[i * nz + j][1] for j in range(nz)) for i in range(ny))
     return ScanGrid(tuple(float(v) for v in ys), tuple(float(v) for v in zs),

@@ -1,13 +1,22 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import swallowtail
+from swallowtail import QuadratureConfig, RefineConfig
 from swallowtail.cli import main
 from swallowtail.schema import validate_envelope
+
+# child interpreters find the package under test whether or not it is installed
+SRC = str(Path(swallowtail.__file__).resolve().parents[1])
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(capsys, argv):
@@ -89,6 +98,18 @@ def test_zeros_confine(capsys):
                             "--branch", "pos", "--m", "0"])
     assert env["results"]["converged"] is True
     assert abs(env["results"]["final_y"]) < 1e-6
+
+
+def test_newton_envelopes_echo_full_configuration(capsys):
+    quad, newton = QuadratureConfig(), RefineConfig()
+    for argv in (["zeros", "refine", "--branch", "neg", "--m", "0"],
+                 ["zeros", "confine", "--y0", "0.1", "--branch", "neg", "--m", "0"]):
+        echo = run_json(capsys, argv)["params_echo"]
+        assert echo["tol"] == 1e-11
+        assert echo["max_subdivisions"] == quad.max_subdivisions
+        assert echo["safety"] == quad.truncation_safety
+        assert echo["max_backtracks"] == newton.max_backtracks
+        assert echo["max_iterations"] == newton.max_iterations
 
 
 def test_scan_writes_csv(tmp_path, capsys):
@@ -189,7 +210,33 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "swallowtail", "eval",
          "--x", "0", "--y", "0", "--z", "0", "--tol", "1e-8"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=CHILD_ENV)
     assert proc.returncode == 0
     env = json.loads(proc.stdout)
     validate_envelope(env)
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, swallowtail.cli; print('jsonschema' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the trace is far larger than a pipe buffer, so the CLI is still writing
+    # when the reader stops after one line, as `| head -1` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "swallowtail", "trace", "--y", "0", "--z=-1",
+         "--saddle", "0", "--direction", "right", "--step", "0.001"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
+    try:
+        assert proc.stdout.readline().strip() == "{"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert "Traceback" not in err
+    assert proc.returncode == 1

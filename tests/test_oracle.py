@@ -14,6 +14,7 @@ from swallowtail import (
     eval_q_moment,
     eval_s,
 )
+from swallowtail.oracle import _integrate
 from conftest import q_axis_series
 
 # Contour values computed independently with 40-digit tanh-sinh quadrature
@@ -212,3 +213,26 @@ def test_estimates_bound_actual_error_on_axis(cfg):
     for z in (0.5, -1.0, 3.2, -4.4):
         r = eval_q(Params(0.0, 0.0, z), cfg)
         assert abs(r.value - q_axis_series(z)) <= r.abs_error_estimate
+
+
+def test_kernel_moments_satisfy_the_ode(rng, cfg):
+    # integration by parts: m4 + x m2 + y m1 + z m0 = 0 (DLMF 36.10), an
+    # identity no quadrature rule enforces, so each moment's estimate must
+    # cover its share of the residual
+    for _ in range(30):
+        x, y, z = rng.uniform(-4.0, 4.0, 3)
+        m0, m1, m2, m4 = _integrate(x, y, z, (0, 1, 2, 4), cfg)
+        residual = m4.value + x * m2.value + y * m1.value + z * m0.value
+        bound = (m4.abs_error_estimate + abs(x) * m2.abs_error_estimate
+                 + abs(y) * m1.abs_error_estimate + abs(z) * m0.abs_error_estimate)
+        assert abs(residual) <= bound
+
+
+def test_kernel_joint_call_matches_separate_evaluations(rng, cfg):
+    for _ in range(10):
+        x, y, z = rng.uniform(-4.0, 4.0, 3)
+        p = Params(x, y, z)
+        joint = _integrate(x, y, z, (0, 1, 2), cfg)
+        separate = (eval_q(p, cfg), eval_q_moment(p, 1, cfg), eval_q_moment(p, 2, cfg))
+        for a, b in zip(joint, separate):
+            assert abs(a.value - b.value) <= a.abs_error_estimate + b.abs_error_estimate

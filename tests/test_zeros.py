@@ -19,6 +19,8 @@ from swallowtail import (
     predicted_zeros,
     refine_on_axis,
 )
+import swallowtail.zeros as zeros
+from swallowtail.oracle import _integrate
 from conftest import q_axis_series
 
 # Certified axis zeros, cross-checked against the quadrature-free series
@@ -222,3 +224,27 @@ def test_scan_min_and_argmin(cfg_fast):
     assert ay == 0.0
     assert grid.min_abs_q == min(grid.abs_q[0])
     assert az in grid.z_values
+
+
+def test_newton_spends_one_kernel_call_per_point(monkeypatch):
+    # value and derivatives of a trial point (iterate, backtrack or polish)
+    # come from one joint quadrature, and no point is evaluated twice
+    calls = []
+
+    def counting(x, y, z, ks, cfg):
+        calls.append((y, z, ks))
+        return _integrate(x, y, z, ks, cfg)
+
+    monkeypatch.setattr(zeros, "_integrate", counting)
+    monkeypatch.setattr(zeros, "eval_q", None)
+    refined = refine_on_axis(predicted_zeros(Branch.NEGATIVE_Z, 0)[0])
+    assert {ks for _, _, ks in calls} == {(0, 1)}
+    assert len(calls) >= refined.iterations + 1
+    assert len({(y, z) for y, z, _ in calls}) == len(calls)
+
+    calls.clear()
+    rec = axis_confinement_scan(0.3, Branch.POSITIVE_Z, 0)
+    assert rec.converged
+    assert {ks for _, _, ks in calls} == {(0, 1, 2)}
+    assert len(calls) >= rec.iterations + 2          # seed, iterates and the polish
+    assert len({(y, z) for y, z, _ in calls}) == len(calls)
