@@ -218,8 +218,7 @@ def _parse_range(text: str):
 
 def cmd_scan(args) -> int:
     cfg = _quad_config(args)
-    grid = modulus_scan(args.y_range, args.z_range, args.ny, args.nz, cfg,
-                        workers=args.workers)
+    grid = modulus_scan(args.y_range, args.z_range, args.ny, args.nz, cfg)
     try:
         if args.format == "csv":
             grid.to_csv(args.out)
@@ -232,7 +231,7 @@ def cmd_scan(args) -> int:
     _emit("scan", {
         "y_range": list(args.y_range), "z_range": list(args.z_range),
         "ny": args.ny, "nz": args.nz, "out": args.out, "format": args.format,
-        **_quad_echo(cfg), "workers": args.workers,
+        **_quad_echo(cfg),
     }, {
         "out_path": args.out,
         "format": args.format,
@@ -313,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--nz", type=int, required=True)
     p_scan.add_argument("--out", required=True)
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_scan.add_argument("--workers", type=int, default=1)
     _add_quad_flags(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 

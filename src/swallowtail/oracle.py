@@ -6,11 +6,17 @@ angles sit at the centre of a decay sector of exp(i t^5/5): with t = r e^{i
 theta} and 5*theta = pi/2 (mod 2*pi) the quintic term contributes exactly
 exp(-r^5/5), so the integrand decays super-Gaussianly on each ray no matter
 what (x, y, z) are.  Everything else is standard machinery: an a-priori
-truncation radius with a certified tail bound, and an adaptive Gauss-Kronrod
-rule on each truncated ray.
+truncation radius with a certified tail bound (the positive root of two
+quintics, found by Newton steps from a closed-form upper bound), and an
+adaptive Gauss-Kronrod rule on each truncated ray.
 
-One kernel integrates t^k times the same exponential for several k at once;
-these moments feed the parameter derivatives used by Newton refinement:
+One kernel, ``_integrate_points``, does all the quadrature.  It takes N
+points at once: each (point, ray) pair is a group of panels in one node
+array, refined by worst-first bisection within its own budget, so a grid
+scan makes one call per row and a point's result does not depend on its
+neighbours.  ``_integrate`` is its one-point form.  The kernel integrates
+t^k times the same exponential for several k at once; these moments feed
+the parameter derivatives used by Newton refinement:
 
     dQ/dz = i * moment_1,   dQ/dy = (i/2) * moment_2,   dQ/dx = (i/3) * moment_3.
 """
@@ -64,6 +70,8 @@ _WG_FULL[7] = _WG[3]
 _WG_FULL[9:15:2] = _WG[2::-1]
 # Columns: the Kronrod rule and the Kronrod-minus-Gauss difference rule.
 _RULES = np.stack((_WK_FULL, _WK_FULL - _WG_FULL), axis=1)
+# the 9 edges of a ray's 8 initial panels, as fractions of its radius
+_EIGHTHS = np.arange(9) / 8.0
 
 
 @dataclass(frozen=True)
@@ -96,6 +104,23 @@ class EvalResult:
             raise ValueError("abs_error_estimate must be finite and nonnegative")
 
 
+def _positive_root(a: float, b: float, c: float, d: float, e: float) -> float:
+    """max(1, r*) for the positive root r* of p(r) = a r^5 - b r^3 - c r^2 - d r - e.
+
+    With a > 0 and b, c, d, e >= 0, p(r)/r^5 increases, so r* is unique, and
+    p is increasing and convex on [r*, inf).  Newton steps started above r*
+    therefore fall monotonically onto it.  The start makes each negative term
+    at most a r^5 / 4, so p is nonnegative there.
+    """
+    r = max(1.0, math.sqrt(4.0 * b / a), (4.0 * c / a) ** (1.0 / 3.0),
+            (4.0 * d / a) ** 0.25, (4.0 * e / a) ** 0.2)
+    for _ in range(8):
+        r2 = r * r
+        p = ((a * r2 - b) * r - c) * r2 - d * r - e
+        r -= p / ((5.0 * a * r2 - 3.0 * b) * r2 - 2.0 * c * r - d)
+    return max(1.0, r)
+
+
 def _truncation_radius(x: float, y: float, z: float, k: int, log_target: float,
                        sin5: float) -> float:
     """Smallest radius beyond which the integrand tail is provably negligible.
@@ -107,48 +132,73 @@ def _truncation_radius(x: float, y: float, z: float, k: int, log_target: float,
 
     Using r^k <= exp(k (r-1)) for r >= 1, the tail beyond R is bounded by
     exp(-gk(R)) once gk(r) = g(r) - k(r-1) satisfies gk >= log_target and
-    gk' >= 1 for all r >= R.
+    gk' >= 1 for all r >= R.  Both conditions are quintics of the form that
+    ``_positive_root`` solves (the second one multiplied by r).
     """
     ax, ay, az = abs(x), abs(y), abs(z)
-    # gk(r) - log_target as a polynomial in r (leading coefficient first)
-    val_poly = [sin5 / 5.0, 0.0, -ax / 3.0, -ay / 2.0, -(az + k), k - log_target]
-    # gk'(r) - 1
-    slope_poly = [sin5, 0.0, -ax, -ay, -(az + k + 1.0)]
-    r_min = 1.0
-    for poly in (val_poly, slope_poly):
-        roots = np.roots(poly)
-        real = roots.real[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots))]
-        if real.size:
-            r_min = max(r_min, float(real.max()))
-    return r_min * (1.0 + 1e-9) + 1e-12
+    # clamping the constant at 0 can only raise the root
+    r_val = _positive_root(sin5 / 5.0, ax / 3.0, ay / 2.0, az + k, max(0.0, log_target - k))
+    r_slope = _positive_root(sin5, ax, ay, az + k + 1.0, 0.0)
+    return max(r_val, r_slope) * (1.0 + 1e-9) + 1e-12
 
 
-def _panels(lo, hi, w, x: float, y: float, z: float, powers):
+def _panels(lo, hi, w, x, y, z, powers):
     """G7/K15 on a batch of panels: Kronrod values and error estimates.
 
-    Panel i spans r in [lo[i], hi[i]] on the ray t = r * w[i]; column j of
-    both (panels, len(powers)) results integrates t^powers[j] exp(i*phase(t)).
+    Panel i spans r in [lo[i], hi[i]] on the ray t = r * w[i] at the point
+    (x[i], y[i], z[i]); column j of both (panels, len(powers)) results
+    integrates t^powers[j] exp(i*phase(t)).
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     t = (c[:, None] + h[:, None] * _NODES) * w[:, None]
-    f = np.exp(1j * t * (z + t * (0.5 * y + t * (x / 3.0 + 0.2 * t * t))))
+    f = np.exp(1j * t * (z[:, None] + t * (0.5 * y[:, None]
+                                           + t * (x[:, None] / 3.0 + 0.2 * t * t))))
     fk = f[:, None, :] * t[:, None, :] ** powers[:, None]
     sums = h[:, None, None] * (fk @ _RULES)
     d = np.abs(sums[..., 1])
     return sums[..., 0], np.minimum(d, (200.0 * d) ** 1.5)
 
 
-def _integrate(x: float, y: float, z: float, ks, cfg: QuadratureConfig,
-               ray_angles=DEFAULT_RAY_ANGLES,
-               radius_factor: float = 1.0) -> tuple[EvalResult, ...]:
-    """Integrate t^k exp[i(t^5/5 + x t^3/3 + y t^2/2 + z t)] over the contour.
+def _group_sums(grp, v, groups: int):
+    """Per-group column sums of the (panels, m) array v, each summed in panel order."""
+    m = v.shape[1]
+    idx = (grp[:, None] * m + np.arange(m)).ravel()
+    return np.bincount(idx, v.ravel(), groups * m).reshape(groups, m)
 
-    Returns one EvalResult per k in ``ks``.  All panels of both rays form one
-    (panels x 15) node array and exp(i*phase) is computed once per node.  Each
-    round, every ray whose estimate (worst k) exceeds its budget bisects its
-    largest-error panels until the errors they carry cover the excess, within
-    the ray's remaining ``max_subdivisions``.
+
+def _worst_first(err, grp, worst, excess, room):
+    """Panels to bisect: per group, its largest-error panels (in its worst k)
+    until the errors they carry cover the group's excess, at most ``room``."""
+    active = (excess > 0.0) & (room > 0)
+    if not active.any():
+        return np.empty(0, dtype=int)
+    e = err[np.arange(grp.size), worst[grp]]
+    order = np.lexsort((-e, grp))        # by group, then largest error first
+    g, e = grp[order], e[order]
+    rank = np.arange(g.size) - np.searchsorted(g, g)
+    # a row per group: its sorted errors after a zero column, so that the
+    # running sum at column `rank` is the error of the group's larger panels
+    table = np.zeros((excess.size, int(rank.max()) + 2))
+    table[g, rank + 1] = e
+    before = table.cumsum(axis=1)[g, rank]
+    return order[active[g] & (before < excess[g]) & (rank < room[g])]
+
+
+def _integrate_points(x, y, z, ks, cfg: QuadratureConfig,
+                      ray_angles=DEFAULT_RAY_ANGLES, radius_factor: float = 1.0):
+    """Integrate t^k exp[i(t^5/5 + x t^3/3 + y t^2/2 + z t)] at N points.
+
+    ``x``, ``y``, ``z`` are equal-length arrays.  Every (point, ray) pair is
+    a group of panels in one (panels x 15) node array, and exp(i*phase) is
+    computed once per node for all k in ``ks``.  Each round, every group
+    whose estimate (worst k) exceeds its budget bisects its largest-error
+    panels until the errors they carry cover the excess, within its own
+    ``max_subdivisions``.  Groups never read each other's panels, so a
+    point's result does not depend on the other points in the batch.
+
+    Returns per point: values and estimates (both N x len(ks)), the panel
+    count and whether both rays met their budget.
     """
     theta_in, theta_out = ray_angles
     sin5 = min(math.sin(5.0 * theta_in), math.sin(5.0 * theta_out))
@@ -161,52 +211,70 @@ def _integrate(x: float, y: float, z: float, ks, cfg: QuadratureConfig,
     tol = cfg.target_abs_tol
     log_target = math.log(2.0 * safety / tol)
     # beyond r = 1, r^k <= r^max(ks): the largest power's radius covers every tail
-    radius = _truncation_radius(x, y, z, max(ks), log_target, sin5) * radius_factor
+    k_max = max(ks)
+    radius = np.array([_truncation_radius(a, b, c, k_max, log_target, sin5)
+                       for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())]) * radius_factor
     trunc_bound = tol / safety          # both ray tails combined
     ray_budget = 0.5 * tol * (1.0 - 1.0 / safety)
     powers = np.asarray(ks)
     w = np.exp(1j * np.array([theta_out, theta_in]))
 
-    # one row per panel; ray 0 leaves the origin, ray 1 comes in to it
-    edges = np.linspace(0.0, radius, 9)
-    lo, hi = np.tile(edges[:-1], 2), np.tile(edges[1:], 2)
-    ray = np.repeat([0, 1], 8)
-    val, err = _panels(lo, hi, w[ray], x, y, z, powers)
+    # group 2i leaves the origin on ray 0, group 2i + 1 comes in on ray 1
+    groups = 2 * x.size
+    gw, gx, gy, gz = np.tile(w, x.size), np.repeat(x, 2), np.repeat(y, 2), np.repeat(z, 2)
+    edges = np.repeat(radius[:, None] * _EIGHTHS, 2, axis=0)   # = linspace(0, radius, 9)
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    grp = np.repeat(np.arange(groups), 8)
+
+    def panels(lo, hi, grp):
+        return _panels(lo, hi, gw[grp], gx[grp], gy[grp], gz[grp], powers)
+
+    val, err = panels(lo, hi, grp)
     while True:
-        on_ray = [ray == r for r in (0, 1)]
-        ray_err = np.array([err[m].sum(axis=0) for m in on_ray])
-        split = []
-        for m, e in zip(on_ray, ray_err):
-            worst = int(np.argmax(e))
-            room = cfg.max_subdivisions - int(np.count_nonzero(m))
-            if e[worst] > ray_budget and room > 0:
-                idx = np.flatnonzero(m)
-                idx = idx[np.argsort(-err[idx, worst], kind="stable")]
-                n = np.searchsorted(np.cumsum(err[idx, worst]), e[worst] - ray_budget) + 1
-                split.extend(idx[:min(n, room)])
-        if not split:
+        count = np.bincount(grp, minlength=groups)
+        group_err = _group_sums(grp, err, groups)
+        excess = group_err.max(axis=1) - ray_budget
+        split = _worst_first(err, grp, group_err.argmax(axis=1), excess,
+                             cfg.max_subdivisions - count)
+        if not split.size:
             break
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate((lo[split], mid))
         new_hi = np.concatenate((mid, hi[split]))
-        new_ray = np.tile(ray[split], 2)
-        new_val, new_err = _panels(new_lo, new_hi, w[new_ray], x, y, z, powers)
+        new_grp = np.concatenate((grp[split], grp[split]))
+        new_val, new_err = panels(new_lo, new_hi, new_grp)
         keep = np.ones(lo.size, dtype=bool)
         keep[split] = False
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
-        ray = np.concatenate((ray[keep], new_ray))
+        grp = np.concatenate((grp[keep], new_grp))
         val = np.concatenate((val[keep], new_val))
         err = np.concatenate((err[keep], new_err))
 
-    values = w[0] * val[on_ray[0]].sum(axis=0) - w[1] * val[on_ray[1]].sum(axis=0)
-    estimates = ray_err.sum(axis=0) + trunc_bound
-    results = tuple(EvalResult(complex(v), float(e), lo.size)
-                    for v, e in zip(values, estimates))
-    if ray_err.max() > ray_budget:
+    group_val = _group_sums(grp, val.real, groups) + 1j * _group_sums(grp, val.imag, groups)
+    values = w[0] * group_val[0::2] - w[1] * group_val[1::2]
+    estimates = group_err[0::2] + group_err[1::2] + trunc_bound
+    ok = group_err.reshape(x.size, -1).max(axis=1) <= ray_budget
+    return values, estimates, count[0::2] + count[1::2], ok
+
+
+def _integrate(x: float, y: float, z: float, ks, cfg: QuadratureConfig,
+               ray_angles=DEFAULT_RAY_ANGLES,
+               radius_factor: float = 1.0) -> tuple[EvalResult, ...]:
+    """The kernel at one point: one EvalResult per k in ``ks``.
+
+    Raises ToleranceNotReached, carrying the k = ks[0] result, when either
+    ray misses its budget.
+    """
+    values, estimates, panels, ok = _integrate_points(
+        np.array([x]), np.array([y]), np.array([z]), ks, cfg, ray_angles, radius_factor)
+    n = int(panels[0])
+    results = tuple(EvalResult(complex(v), float(e), n)
+                    for v, e in zip(values[0], estimates[0]))
+    if not ok[0]:
         raise ToleranceNotReached(
-            f"quadrature estimate {estimates.max():.3e} above target {tol:.3e} "
-            f"after {lo.size} panels",
+            f"quadrature estimate {estimates.max():.3e} above target "
+            f"{cfg.target_abs_tol:.3e} after {n} panels",
             partial=results[0],
         )
     return results

@@ -12,16 +12,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
 from .asymptotics import Branch, ZeroPrediction, axis_envelope, predicted_zeros
-from .errors import NoConvergence, SeedOutOfRange, ToleranceNotReached
-from .oracle import EvalResult, QuadratureConfig, _integrate, eval_q
-from .params import Form, Params
+from .errors import NoConvergence, SeedOutOfRange
+from .oracle import QuadratureConfig, _integrate, _integrate_points
+from .oracle import eval_q  # noqa: F401  (zeros.eval_q stays importable for code that wraps it)
+from .params import Form
 
 # Beyond these bounds a 2D Newton iterate is recorded as divergent.
 _DIVERGENCE_Y = 10.0
@@ -201,31 +200,30 @@ def axis_confinement_scan(y0: float, branch: Branch, m: int,
     return AxisConfinementRecord(y0, seed_z, converged, y, z, abs(q), it)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanGrid:
-    """|Q| sampled on a rectangle of the (y, z) plane."""
+    """|Q| sampled on a rectangle of the (y, z) plane, as read-only arrays."""
 
-    y_values: tuple
-    z_values: tuple
-    abs_q: tuple          # row-major: abs_q[i][j] at (y_values[i], z_values[j])
-    flags: tuple          # 'ok' or 'tol_miss' per cell
+    y_values: np.ndarray
+    z_values: np.ndarray
+    abs_q: np.ndarray     # abs_q[i, j] at (y_values[i], z_values[j])
+    flags: np.ndarray     # 'ok' or 'tol_miss' per cell
+
+    def __post_init__(self):
+        for a in (self.y_values, self.z_values, self.abs_q, self.flags):
+            a.flags.writeable = False
 
     @property
     def min_abs_q(self) -> float:
-        return min(min(row) for row in self.abs_q)
+        return float(self.abs_q.min())
 
     def argmin_cell(self):
-        best = (0, 0)
-        best_v = self.abs_q[0][0]
-        for i, row in enumerate(self.abs_q):
-            for j, v in enumerate(row):
-                if v < best_v:
-                    best_v, best = v, (i, j)
-        return self.y_values[best[0]], self.z_values[best[1]]
+        i, j = np.unravel_index(np.argmin(self.abs_q), self.abs_q.shape)
+        return float(self.y_values[i]), float(self.z_values[j])
 
     @property
     def flagged_cells(self) -> int:
-        return sum(1 for row in self.flags for f in row if f != "ok")
+        return int(np.count_nonzero(self.flags != "ok"))
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -233,15 +231,15 @@ class ScanGrid:
             writer.writerow(["y", "z", "abs_q", "flag"])
             for i, y in enumerate(self.y_values):
                 for j, z in enumerate(self.z_values):
-                    writer.writerow([repr(y), repr(z), repr(self.abs_q[i][j]),
-                                     self.flags[i][j]])
+                    writer.writerow([repr(float(y)), repr(float(z)),
+                                     repr(float(self.abs_q[i, j])), str(self.flags[i, j])])
 
     def to_json_dict(self) -> dict:
         return {
-            "y_values": list(self.y_values),
-            "z_values": list(self.z_values),
-            "abs_q": [list(row) for row in self.abs_q],
-            "flags": [list(row) for row in self.flags],
+            "y_values": self.y_values.tolist(),
+            "z_values": self.z_values.tolist(),
+            "abs_q": self.abs_q.tolist(),
+            "flags": self.flags.tolist(),
         }
 
     def to_json(self, path) -> None:
@@ -249,22 +247,12 @@ class ScanGrid:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
-def _scan_cell(y: float, z: float, cfg: QuadratureConfig):
-    try:
-        r = eval_q(Params(0.0, y, z), cfg)
-        return abs(r.value), "ok"
-    except ToleranceNotReached as exc:
-        partial: EvalResult | None = exc.partial
-        return (abs(partial.value) if partial is not None else float("nan")), "tol_miss"
-
-
 def modulus_scan(y_range, z_range, ny: int, nz: int,
-                 cfg: QuadratureConfig | None = None, workers: int = 1) -> ScanGrid:
-    """Evaluate |Q(0, y, z)| on a regular grid.
+                 cfg: QuadratureConfig | None = None) -> ScanGrid:
+    """Evaluate |Q(0, y, z)| on a regular grid, one kernel call per row.
 
     Cells where the quadrature budget runs out are flagged 'tol_miss' and
-    keep their best-effort value.  With workers > 1 the (independent) cell
-    evaluations are distributed over a process pool.
+    keep their best-effort value; the other cells of the row are unaffected.
     """
     if ny < 1 or nz < 1:
         raise ValueError("resolution must be at least 1 point per axis")
@@ -275,14 +263,9 @@ def modulus_scan(y_range, z_range, ny: int, nz: int,
     cfg = cfg or QuadratureConfig()
     ys = np.linspace(y_range[0], y_range[1], ny)
     zs = np.linspace(z_range[0], z_range[1], nz)
-    cell_y, cell_z = (g.ravel().tolist() for g in np.meshgrid(ys, zs, indexing="ij"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_scan_cell, cell_y, cell_z, repeat(cfg),
-                                  chunksize=max(1, len(cell_y) // (4 * workers))))
-    else:
-        cells = list(map(_scan_cell, cell_y, cell_z, repeat(cfg)))
-    abs_rows = tuple(tuple(cells[i * nz + j][0] for j in range(nz)) for i in range(ny))
-    flag_rows = tuple(tuple(cells[i * nz + j][1] for j in range(nz)) for i in range(ny))
-    return ScanGrid(tuple(float(v) for v in ys), tuple(float(v) for v in zs),
-                    abs_rows, flag_rows)
+    abs_q = np.empty((ny, nz))
+    ok = np.empty((ny, nz), dtype=bool)
+    for i, y in enumerate(ys):
+        values, _, _, ok[i] = _integrate_points(np.zeros(nz), np.full(nz, y), zs, (0,), cfg)
+        abs_q[i] = np.abs(values[:, 0])
+    return ScanGrid(ys, zs, abs_q, np.where(ok, "ok", "tol_miss"))

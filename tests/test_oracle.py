@@ -14,7 +14,12 @@ from swallowtail import (
     eval_q_moment,
     eval_s,
 )
-from swallowtail.oracle import _integrate
+from swallowtail.oracle import (
+    DEFAULT_RAY_ANGLES,
+    _integrate,
+    _integrate_points,
+    _truncation_radius,
+)
 from conftest import q_axis_series
 
 # Contour values computed independently with 40-digit tanh-sinh quadrature
@@ -236,3 +241,57 @@ def test_kernel_joint_call_matches_separate_evaluations(rng, cfg):
         separate = (eval_q(p, cfg), eval_q_moment(p, 1, cfg), eval_q_moment(p, 2, cfg))
         for a, b in zip(joint, separate):
             assert abs(a.value - b.value) <= a.abs_error_estimate + b.abs_error_estimate
+
+
+def test_batched_row_matches_single_points():
+    # a scan row mixes 16-panel cells near z = 0 with costlier large -z and
+    # large +z cells; batching must not change any cell's refinement
+    cfg = QuadratureConfig(target_abs_tol=1e-8)
+    zs = np.linspace(-24.0, 16.0, 21)
+    values, estimates, panels, ok = _integrate_points(
+        np.zeros(zs.size), np.full(zs.size, 0.3), zs, (0,), cfg)
+    assert ok.all()
+    assert panels.max() > 40 and panels.min() == 16
+    for j, z in enumerate(zs):
+        single = eval_q(Params(0.0, 0.3, z), cfg)
+        assert panels[j] == single.subdivisions_used
+        assert abs(values[j, 0] - single.value) <= estimates[j, 0] + single.abs_error_estimate
+
+
+def _reference_radius(x, y, z, k, log_target, sin5):
+    """The eigenvalue form of the truncation radius: both conditions by np.roots."""
+    ax, ay, az = abs(x), abs(y), abs(z)
+    val_poly = [sin5 / 5.0, 0.0, -ax / 3.0, -ay / 2.0, -(az + k), k - log_target]
+    slope_poly = [sin5, 0.0, -ax, -ay, -(az + k + 1.0)]
+    r_min = 1.0
+    for poly in (val_poly, slope_poly):
+        roots = np.roots(poly)
+        real = roots.real[np.abs(roots.imag) < 1e-9 * (1.0 + np.abs(roots))]
+        if real.size:
+            r_min = max(r_min, float(real.max()))
+    return r_min * (1.0 + 1e-9) + 1e-12
+
+
+def test_truncation_radius_matches_eigenvalue_form():
+    hypothesis = pytest.importorskip("hypothesis")
+    mpmath = pytest.importorskip("mpmath")
+    st = hypothesis.strategies
+    coord = st.floats(-1000.0, 1000.0)
+    sin5 = math.sin(5.0 * DEFAULT_RAY_ANGLES[1])
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(coord, coord, coord, st.integers(0, 4), st.floats(-14.0, -2.0))
+    def check(x, y, z, k, log10_tol):
+        log_target = math.log(2.0 * 10.0 / 10.0 ** log10_tol)
+        radius = _truncation_radius(x, y, z, k, log_target, sin5)
+        reference = _reference_radius(x, y, z, k, log_target, sin5)
+        # np.roots is itself only good to ~1e-14 relative, so "not below the
+        # reference" allows that much; the tail conditions are checked exactly
+        assert -1e-13 <= radius / reference - 1.0 <= 1e-10
+        with mpmath.workdps(40):
+            r, s = mpmath.mpf(radius), mpmath.mpf(sin5)
+            gk = s * r**5 / 5 - abs(x) * r**3 / 3 - abs(y) * r**2 / 2 - abs(z) * r - k * (r - 1)
+            slope = s * r**4 - abs(x) * r**2 - abs(y) * r - abs(z) - k
+            assert gk >= log_target and slope >= 1
+
+    check()

@@ -12,6 +12,7 @@ from swallowtail import (
     QuadratureConfig,
     RefineConfig,
     SeedOutOfRange,
+    ToleranceNotReached,
     ZeroPrediction,
     axis_confinement_scan,
     eval_q,
@@ -20,6 +21,7 @@ from swallowtail import (
     refine_on_axis,
 )
 import swallowtail.zeros as zeros
+from swallowtail.zeros import ScanGrid
 from swallowtail.oracle import _integrate
 from conftest import q_axis_series
 
@@ -204,11 +206,39 @@ def test_scan_json_roundtrip(tmp_path, cfg_fast):
     assert data["flags"][0][0] == "ok"
 
 
-def test_scan_workers_agree(cfg_fast):
-    seq = modulus_scan((0.0, 1.0), (0.5, 1.5), 2, 2, cfg_fast, workers=1)
-    par = modulus_scan((0.0, 1.0), (0.5, 1.5), 2, 2, cfg_fast, workers=2)
-    assert seq.abs_q == par.abs_q
-    assert seq.flags == par.flags
+def test_scan_isolates_a_tolerance_miss():
+    # one kernel call per row: a cell that runs out of panels must not
+    # disturb the other cells of its row
+    cfg = QuadratureConfig(target_abs_tol=1e-8, max_subdivisions=20)
+    grid = modulus_scan((0.3, 0.3), (-24.0, 16.0), 1, 5, cfg)
+    assert grid.flags[0].tolist() == ["tol_miss", "ok", "ok", "ok", "ok"]
+    with pytest.raises(ToleranceNotReached) as info:
+        eval_q(Params(0.0, 0.3, -24.0), cfg)
+    assert grid.abs_q[0, 0] == np.abs(info.value.partial.value)
+    for j, z in enumerate(grid.z_values[1:], start=1):
+        assert grid.abs_q[0, j] == np.abs(eval_q(Params(0.0, 0.3, z), cfg).value)
+
+
+def test_scan_grid_serialization_is_fixed(tmp_path):
+    grid = ScanGrid(np.array([0.0, 0.5]), np.array([-1.0, 0.1 + 0.2]),
+                    np.array([[0.1 + 0.2, 1e-300], [2.5, 7.0 / 3.0]]),
+                    np.array([["ok", "tol_miss"], ["ok", "ok"]]))
+    out = tmp_path / "grid.csv"
+    grid.to_csv(out)
+    assert out.read_bytes() == (
+        b"y,z,abs_q,flag\r\n"
+        b"0.0,-1.0,0.30000000000000004,ok\r\n"
+        b"0.0,0.30000000000000004,1e-300,tol_miss\r\n"
+        b"0.5,-1.0,2.5,ok\r\n"
+        b"0.5,0.30000000000000004,2.3333333333333335,ok\r\n")
+    out = tmp_path / "grid.json"
+    grid.to_json(out)
+    assert json.loads(out.read_text()) == {
+        "y_values": [0.0, 0.5], "z_values": [-1.0, 0.30000000000000004],
+        "abs_q": [[0.30000000000000004, 1e-300], [2.5, 2.3333333333333335]],
+        "flags": [["ok", "tol_miss"], ["ok", "ok"]]}
+    assert grid.min_abs_q == 1e-300 and grid.argmin_cell() == (0.0, 0.1 + 0.2)
+    assert grid.flagged_cells == 1
 
 
 def test_scan_validation():
