@@ -77,6 +77,14 @@ def _quad_echo(cfg: QuadratureConfig) -> dict:
             "safety": cfg.truncation_safety}
 
 
+def _refine_echo(cfg: RefineConfig, tol_key: str, *fields: str) -> dict:
+    """The Newton part of ``params_echo``, read from ``cfg``: the residual
+    tolerance under the command's own flag name, the named ``RefineConfig``
+    fields in order, then the quadrature echo."""
+    return {tol_key: cfg.residual_tol, **{name: getattr(cfg, name) for name in fields},
+            **_quad_echo(cfg.quadrature)}
+
+
 def _add_quad_flags(parser, default_tol=1e-10):
     parser.add_argument("--tol", type=float, default=default_tol,
                         help="absolute quadrature tolerance (default %(default)s)")
@@ -170,10 +178,9 @@ def cmd_zeros_refine(args) -> int:
     seed = predicted_zeros(_BRANCHES[args.branch], args.m)[args.m]
     refined = refine_on_axis(seed, cfg)
     _emit("zeros-refine", {
-        "branch": args.branch, "m": args.m, "residual_tol": cfg.residual_tol,
-        "residual_mode": cfg.residual_mode, "max_iterations": cfg.max_iterations,
-        "max_backtracks": cfg.max_backtracks, "max_abs_z": cfg.max_abs_z,
-        **_quad_echo(cfg.quadrature),
+        "branch": args.branch, "m": args.m,
+        **_refine_echo(cfg, "residual_tol", "residual_mode", "max_iterations",
+                       "max_backtracks", "max_abs_z"),
     }, {
         "branch": refined.branch.value,
         "m": refined.m,
@@ -193,8 +200,7 @@ def cmd_zeros_confine(args) -> int:
     record = axis_confinement_scan(args.y0, _BRANCHES[args.branch], args.m, cfg)
     _emit("zeros-confine", {
         "y0": args.y0, "branch": args.branch, "m": args.m,
-        "modulus_tol": cfg.residual_tol, "max_iterations": cfg.max_iterations,
-        "max_backtracks": cfg.max_backtracks, **_quad_echo(cfg.quadrature),
+        **_refine_echo(cfg, "modulus_tol", "max_iterations", "max_backtracks"),
     }, {
         "seed_y": record.seed_y,
         "seed_z": record.seed_z,

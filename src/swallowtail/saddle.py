@@ -263,14 +263,38 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     1D Newton transverse to the tangent, restoring Re(f - f(t_k)) = 0.
     The step is halved whenever the corrector fails or descent-monotonicity
     breaks; running out of step length signals a saddle collision.
+
+    Complex-conjugate saddles share Re f, so a branch leaving one of them can
+    run through its partner: for z > 0 the left branch of saddle 3 passes
+    through saddle 0 and, below the caustic, the right branch of saddle 2
+    through saddle 1; for z < 0 at small gamma the right branch of saddle 1
+    passes through saddle 3.  Usually a step jumps past the partner and the
+    trace ends in one of the partner's valleys; when a step lands on the
+    partner, the trace raises ``PathStalled``, which is then the right answer.
+
+    Raises ``ValueError`` for k outside 0..3, a step, cutoff radius or level
+    tolerance that is not finite and positive, a cutoff radius inside |t_k|,
+    or max_steps < 1.
     """
     if not isinstance(direction, Direction):
         direction = Direction(direction)
+    if k not in range(4):
+        raise ValueError(f"saddle index must be 0..3, got {k!r}")
+    for name, value in (("step", step), ("cutoff_radius", cutoff_radius),
+                        ("level_tol", level_tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
     sset = saddles(sp)
+    t0 = sset.roots[k]
+    if cutoff_radius <= abs(t0):
+        raise ValueError(f"cutoff_radius {cutoff_radius!r} does not exceed "
+                         f"|t_{k}| = {abs(t0)!r}")
     if sset.regime is Regime.DEGENERATE:
         raise PathStalled("saddle set is degenerate; no isolated branch to trace")
-    t0 = sset.roots[k]
     gamma, sign_z = sp.gamma, sp.sign_z
+    sigma = 1.0 if sign_z is ZSign.POSITIVE else -1.0
     f0 = phase(t0, gamma, sign_z)
     fpp = phase_second_derivative(t0, gamma)
     if abs(fpp) < 1e-12:
@@ -284,34 +308,30 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
         right, left = (a1, a2) if math.sin(a1) > 0 else (a2, a1)
     alpha = right if direction is Direction.RIGHT else left
 
-    def level(t: complex) -> float:
-        # Im i(f - f0): zero on the steepest curve
-        return (phase(t, gamma, sign_z) - f0).real
-
-    def height(t: complex) -> float:
-        # Re i(f - f0): strictly decreasing along a descending branch
-        return -(phase(t, gamma, sign_z) - f0).imag
+    # f and f' are spelled exactly as in phase() and phase_derivative(), whose
+    # rounding the path keeps; 12 iterates at level_tol, a last check at 10x
+    level_tols = (level_tol,) * 12 + (10.0 * level_tol,)
 
     def correct(t: complex):
-        for _ in range(12):
-            g = level(t)
-            tol = level_tol * max(1.0, abs(phase(t, gamma, sign_z)))
-            if abs(g) <= tol:
-                return t
-            fp = phase_derivative(t, gamma, sign_z)
+        """(t, height) back on Re(f - f0) = 0, or None; height = Re i(f - f0)."""
+        for tol in level_tols:
+            f = t ** 5 / 5.0 + 0.5 * gamma * t * t + sigma * t
+            df = f - f0
+            if abs(df.real) <= tol * max(1.0, abs(f)):
+                return t, -df.imag
+            fp = t ** 4 + gamma * t + sigma
             if abs(fp) < 1e-13:
                 return None
-            t = t - g * fp.conjugate() / abs(fp) ** 2
-        return t if abs(level(t)) <= 10.0 * level_tol * max(1.0, abs(phase(t, gamma, sign_z))) else None
+            t = t - df.real * fp.conjugate() / abs(fp) ** 2
+        return None
 
     points = [t0]
-    h_prev = 0.0
     dt = step
-    t = correct(t0 + step * cmath.exp(1j * alpha))
-    if t is None or height(t) >= 0.0:
+    cand = correct(t0 + step * cmath.exp(1j * alpha))
+    if cand is None or cand[1] >= 0.0:
         raise PathStalled(f"could not leave saddle {k} in direction {direction.value}")
+    t, h_prev = cand
     points.append(t)
-    h_prev = height(t)
 
     steps = 0
     good_streak = 0
@@ -319,19 +339,18 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
         steps += 1
         if steps > max_steps:
             raise PathStalled("step budget exhausted before reaching the cutoff radius")
-        fp = phase_derivative(t, gamma, sign_z)
+        fp = t ** 4 + gamma * t + sigma
         if abs(fp) < 1e-13:
             raise PathStalled("ran into another saddle while tracing")
         tangent = 1j * fp.conjugate()
         cand = correct(t + dt * tangent / abs(tangent))
-        if cand is None or height(cand) >= h_prev:
+        if cand is None or cand[1] >= h_prev:
             dt *= 0.5
             good_streak = 0
             if dt < 1e-7:
                 raise PathStalled("corrector kept failing; suspected saddle collision")
             continue
-        t = cand
-        h_prev = height(t)
+        t, h_prev = cand
         points.append(t)
         good_streak += 1
         if good_streak >= 5 and dt < step:

@@ -112,6 +112,18 @@ def test_newton_envelopes_echo_full_configuration(capsys):
         assert echo["max_iterations"] == newton.max_iterations
 
 
+def test_newton_echo_key_order(capsys):
+    refine = run_json(capsys, ["zeros", "refine", "--branch", "neg", "--m", "0"])
+    confine = run_json(capsys, ["zeros", "confine", "--y0", "0.1", "--branch", "neg",
+                                "--m", "0"])
+    assert list(refine["params_echo"]) == [
+        "branch", "m", "residual_tol", "residual_mode", "max_iterations",
+        "max_backtracks", "max_abs_z", "tol", "max_subdivisions", "safety"]
+    assert list(confine["params_echo"]) == [
+        "y0", "branch", "m", "modulus_tol", "max_iterations", "max_backtracks",
+        "tol", "max_subdivisions", "safety"]
+
+
 def test_scan_writes_csv(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     env = run_json(capsys, ["scan", "--y-range", "0:1", "--z-range", "2:3",
@@ -173,6 +185,15 @@ def test_path_stalled_exit_4(capsys):
     code, _, err = run_cli(capsys, ["trace", "--y", "0", "--z", "-1",
                                     "--saddle", "1", "--direction", "left"])
     assert code == 4
+
+
+@pytest.mark.parametrize("flag", ["--step=0", "--step=nan", "--step=-0.01",
+                                  "--cutoff=inf", "--cutoff=0", "--cutoff=nan"])
+def test_trace_bad_controls_exit_2(capsys, flag):
+    code, out, err = run_cli(capsys, ["trace", "--y", "0", "--z=-1", "--saddle", "0",
+                                      "--direction", "right", flag])
+    assert code == 2
+    assert out == "" and "error" in err
 
 
 def test_unwritable_output_exit_5(capsys):

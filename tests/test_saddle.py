@@ -19,7 +19,15 @@ from swallowtail import (
     scale,
     trace_steepest,
 )
-from swallowtail.saddle import VALLEY_ANGLES, phase, phase_derivative
+from swallowtail.saddle import (
+    VALLEY_ANGLES,
+    SteepestPath,
+    _descent_angles,
+    _nearest_valley,
+    phase,
+    phase_derivative,
+    phase_second_derivative,
+)
 
 GAMMA_CAUSTIC = 4.0 * 3.0 ** -0.75
 
@@ -206,6 +214,40 @@ def test_trace_stalls_on_saddle_connection():
         trace_steepest(sp, 1, Direction.LEFT)
 
 
+def test_trace_stalls_on_conjugate_saddle_connection():
+    # z > 0: saddles 3 and 0 are conjugates and share Re f, so the left branch
+    # from saddle 3 runs through saddle 0.  At most gamma a step jumps past
+    # saddle 0; at this one (drawn by the benchmark) a step lands 4e-8 from
+    # it, where |f'| ~ 1.7e-7, and the corrector gives up
+    sp = ScaledParams(1.0, 0.24738569133613494, ZSign.POSITIVE)
+    with pytest.raises(PathStalled, match="corrector kept failing"):
+        trace_steepest(sp, 3, Direction.LEFT)
+    nearby = ScaledParams(1.0, 0.25, ZSign.POSITIVE)
+    path = trace_steepest(nearby, 3, Direction.LEFT)
+    t_partner = saddles(nearby).roots[0]
+    assert min(abs(t - t_partner) for t in path.points) < 1e-4
+    assert path.terminal_sector == 1
+
+
+@pytest.mark.parametrize("k", [-1, 4])
+def test_trace_rejects_saddle_index_out_of_range(k):
+    with pytest.raises(ValueError, match="saddle index"):
+        trace_steepest(ScaledParams(1.0, 0.5, ZSign.NEGATIVE), k, Direction.LEFT)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("step", 0.0), ("step", -0.01), ("step", math.nan), ("step", math.inf),
+    ("cutoff_radius", 0.0), ("cutoff_radius", math.nan), ("cutoff_radius", math.inf),
+    ("cutoff_radius", 0.5),              # inside |t_0| = 1
+    ("level_tol", 0.0), ("level_tol", -1e-10), ("level_tol", math.nan),
+    ("max_steps", 0),
+])
+def test_trace_rejects_bad_controls(name, value):
+    with pytest.raises(ValueError, match=name):
+        trace_steepest(ScaledParams(1.0, 0.0, ZSign.NEGATIVE), 0, Direction.RIGHT,
+                       **{name: value})
+
+
 def test_trace_rejects_degenerate():
     sp = ScaledParams(1.0, caustic_gamma(), ZSign.POSITIVE)
     with pytest.raises(PathStalled):
@@ -218,3 +260,130 @@ def test_polyline_serialization():
     assert len(poly) == len(path.points)
     assert all(len(pt) == 2 for pt in poly)
     assert poly[0][0] == pytest.approx(1.0, abs=1e-12)
+
+
+# ------------------------------------------------ reference predictor-corrector
+
+
+def _reference_trace(sp, k, direction, *, step=0.01, cutoff_radius=8.0,
+                     level_tol=1e-10, max_steps=40000):
+    """The tracer as it was before its corrector evaluated the phase once per
+    iterate, kept verbatim (renamed, without the later input validation) as
+    the reference the paths must equal bit for bit."""
+    if not isinstance(direction, Direction):
+        direction = Direction(direction)
+    sset = saddles(sp)
+    if sset.regime is Regime.DEGENERATE:
+        raise PathStalled("saddle set is degenerate; no isolated branch to trace")
+    t0 = sset.roots[k]
+    gamma, sign_z = sp.gamma, sp.sign_z
+    f0 = phase(t0, gamma, sign_z)
+    fpp = phase_second_derivative(t0, gamma)
+    if abs(fpp) < 1e-12:
+        raise PathStalled("vanishing second derivative at the saddle")
+
+    a1, a2 = _descent_angles(fpp)
+    c1 = math.cos(a1)
+    if abs(c1) > 1e-9:
+        right, left = (a1, a2) if c1 > 0 else (a2, a1)
+    else:
+        right, left = (a1, a2) if math.sin(a1) > 0 else (a2, a1)
+    alpha = right if direction is Direction.RIGHT else left
+
+    def level(t: complex) -> float:
+        # Im i(f - f0): zero on the steepest curve
+        return (phase(t, gamma, sign_z) - f0).real
+
+    def height(t: complex) -> float:
+        # Re i(f - f0): strictly decreasing along a descending branch
+        return -(phase(t, gamma, sign_z) - f0).imag
+
+    def correct(t: complex):
+        for _ in range(12):
+            g = level(t)
+            tol = level_tol * max(1.0, abs(phase(t, gamma, sign_z)))
+            if abs(g) <= tol:
+                return t
+            fp = phase_derivative(t, gamma, sign_z)
+            if abs(fp) < 1e-13:
+                return None
+            t = t - g * fp.conjugate() / abs(fp) ** 2
+        return t if abs(level(t)) <= 10.0 * level_tol * max(1.0, abs(phase(t, gamma, sign_z))) else None
+
+    points = [t0]
+    h_prev = 0.0
+    dt = step
+    t = correct(t0 + step * cmath.exp(1j * alpha))
+    if t is None or height(t) >= 0.0:
+        raise PathStalled(f"could not leave saddle {k} in direction {direction.value}")
+    points.append(t)
+    h_prev = height(t)
+
+    steps = 0
+    good_streak = 0
+    while abs(t) < cutoff_radius:
+        steps += 1
+        if steps > max_steps:
+            raise PathStalled("step budget exhausted before reaching the cutoff radius")
+        fp = phase_derivative(t, gamma, sign_z)
+        if abs(fp) < 1e-13:
+            raise PathStalled("ran into another saddle while tracing")
+        tangent = 1j * fp.conjugate()
+        cand = correct(t + dt * tangent / abs(tangent))
+        if cand is None or height(cand) >= h_prev:
+            dt *= 0.5
+            good_streak = 0
+            if dt < 1e-7:
+                raise PathStalled("corrector kept failing; suspected saddle collision")
+            continue
+        t = cand
+        h_prev = height(t)
+        points.append(t)
+        good_streak += 1
+        if good_streak >= 5 and dt < step:
+            dt = min(step, 2.0 * dt)
+            good_streak = 0
+
+    sector = _nearest_valley(cmath.phase(t) % (2.0 * math.pi))
+    return SteepestPath(k, tuple(points), sector)
+
+
+def _outcome(tracer, *args, **kwargs):
+    try:
+        path = tracer(*args, **kwargs)
+    except PathStalled as exc:
+        return "stalled", str(exc)
+    return path.saddle_index, path.points, path.terminal_sector
+
+
+def _assert_matches_reference(sp, k, direction, **controls):
+    assert (_outcome(trace_steepest, sp, k, direction, **controls)
+            == _outcome(_reference_trace, sp, k, direction, **controls))
+
+
+def test_trace_is_bit_identical_to_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    # defaults in 8 of 10 draws: a step of 0.001 makes a path 10x longer
+    controls = ({},) * 8 + ({"step": 0.001}, {"cutoff_radius": 12.0})
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.floats(1.0, 200.0), st.floats(0.0, 2.5), st.sampled_from(ZSign),
+                      st.integers(0, 3), st.sampled_from(Direction), st.sampled_from(controls))
+    def check(lam, gamma, sign, k, direction, controls):
+        _assert_matches_reference(ScaledParams(lam, gamma, sign), k, direction, **controls)
+
+    check()
+
+
+@pytest.mark.parametrize("gamma", [
+    GAMMA_CAUSTIC - 1e-2, GAMMA_CAUSTIC - 1e-6, GAMMA_CAUSTIC - 1e-10,
+    GAMMA_CAUSTIC + 1e-10, GAMMA_CAUSTIC + 1e-6, GAMMA_CAUSTIC + 1e-2,
+    0.24738569133613494,                 # the conjugate-connection stall
+])
+def test_trace_is_bit_identical_to_reference_near_caustic(gamma):
+    sp = ScaledParams(1.0, gamma, ZSign.POSITIVE)
+    for k in range(4):
+        for direction in Direction:
+            _assert_matches_reference(sp, k, direction)
