@@ -12,11 +12,12 @@ adaptive Gauss-Kronrod rule on each truncated ray.
 
 One kernel, ``_integrate_points``, does all the quadrature.  It takes N
 points at once: each (point, ray) pair is a group of panels in one node
-array, refined by worst-first bisection within its own budget, so a grid
-scan makes one call per row and a point's result does not depend on its
-neighbours.  ``_integrate`` is its one-point form.  The kernel integrates
-t^k times the same exponential for several k at once; these moments feed
-the parameter derivatives used by Newton refinement:
+array, refined by worst-first bisection within its own budget, and panels
+are evaluated 256 at a time, so a grid scan makes one call per block of up
+to 512 cells and a point's result does not depend on its neighbours.
+``_integrate`` is its one-point form.  The kernel integrates t^k times the
+same exponential for several k at once; these moments feed the parameter
+derivatives used by Newton refinement:
 
     dQ/dz = i * moment_1,   dQ/dy = (i/2) * moment_2,   dQ/dx = (i/3) * moment_3.
 """
@@ -72,6 +73,11 @@ _WG_FULL[9:15:2] = _WG[2::-1]
 _RULES = np.stack((_WK_FULL, _WK_FULL - _WG_FULL), axis=1)
 # the 9 edges of a ray's 8 initial panels, as fractions of its radius
 _EIGHTHS = np.arange(9) / 8.0
+# Panels per _panels call.  Each (panels x 15) complex temporary is then about
+# 60 KB, which stays in L2 cache, and for up to 4 values of k every temporary
+# stays below numpy's 256 KiB threshold for reusing a temporary in place, where
+# its complex multiply rounds differently and a result would depend on its batch.
+_PANEL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -142,19 +148,21 @@ def _truncation_radius(x: float, y: float, z: float, k: int, log_target: float,
     return max(r_val, r_slope) * (1.0 + 1e-9) + 1e-12
 
 
-def _panels(lo, hi, w, x, y, z, powers):
+def _panels(lo, hi, w, x, y, z, ks):
     """G7/K15 on a batch of panels: Kronrod values and error estimates.
 
     Panel i spans r in [lo[i], hi[i]] on the ray t = r * w[i] at the point
-    (x[i], y[i], z[i]); column j of both (panels, len(powers)) results
-    integrates t^powers[j] exp(i*phase(t)).
+    (x[i], y[i], z[i]); column j of both (panels, len(ks)) results
+    integrates t^ks[j] exp(i*phase(t)).
     """
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     t = (c[:, None] + h[:, None] * _NODES) * w[:, None]
     f = np.exp(1j * t * (z[:, None] + t * (0.5 * y[:, None]
                                            + t * (x[:, None] / 3.0 + 0.2 * t * t))))
-    fk = f[:, None, :] * t[:, None, :] ** powers[:, None]
+    fk = f[:, None, :]
+    if any(ks):                         # t^0 = 1 exactly, so f * 1 = f
+        fk = fk * t[:, None, :] ** np.array(ks)[:, None]
     sums = h[:, None, None] * (fk @ _RULES)
     d = np.abs(sums[..., 1])
     return sums[..., 0], np.minimum(d, (200.0 * d) ** 1.5)
@@ -173,16 +181,18 @@ def _worst_first(err, grp, worst, excess, room):
     active = (excess > 0.0) & (room > 0)
     if not active.any():
         return np.empty(0, dtype=int)
-    e = err[np.arange(grp.size), worst[grp]]
-    order = np.lexsort((-e, grp))        # by group, then largest error first
-    g, e = grp[order], e[order]
+    cand = np.flatnonzero(active[grp])
+    g = grp[cand]
+    e = err[cand, worst[g]]
+    order = np.lexsort((-e, g))          # by group, then largest error first
+    g, e = g[order], e[order]
     rank = np.arange(g.size) - np.searchsorted(g, g)
     # a row per group: its sorted errors after a zero column, so that the
     # running sum at column `rank` is the error of the group's larger panels
     table = np.zeros((excess.size, int(rank.max()) + 2))
     table[g, rank + 1] = e
     before = table.cumsum(axis=1)[g, rank]
-    return order[active[g] & (before < excess[g]) & (rank < room[g])]
+    return cand[order[(before < excess[g]) & (rank < room[g])]]
 
 
 def _integrate_points(x, y, z, ks, cfg: QuadratureConfig,
@@ -194,8 +204,10 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig,
     computed once per node for all k in ``ks``.  Each round, every group
     whose estimate (worst k) exceeds its budget bisects its largest-error
     panels until the errors they carry cover the excess, within its own
-    ``max_subdivisions``.  Groups never read each other's panels, so a
-    point's result does not depend on the other points in the batch.
+    ``max_subdivisions``.  Groups never read each other's panels, and
+    panels are evaluated ``_PANEL_BLOCK`` at a time, so a point's result
+    does not depend on the other points in the batch: a grid scan passes a
+    block of up to 512 cells per call.
 
     Returns per point: values and estimates (both N x len(ks)), the panel
     count and whether both rays met their budget.
@@ -216,7 +228,6 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig,
                        for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())]) * radius_factor
     trunc_bound = tol / safety          # both ray tails combined
     ray_budget = 0.5 * tol * (1.0 - 1.0 / safety)
-    powers = np.asarray(ks)
     w = np.exp(1j * np.array([theta_out, theta_in]))
 
     # group 2i leaves the origin on ray 0, group 2i + 1 comes in on ray 1
@@ -227,7 +238,15 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig,
     grp = np.repeat(np.arange(groups), 8)
 
     def panels(lo, hi, grp):
-        return _panels(lo, hi, gw[grp], gx[grp], gy[grp], gz[grp], powers)
+        if lo.size <= _PANEL_BLOCK:
+            return _panels(lo, hi, gw[grp], gx[grp], gy[grp], gz[grp], ks)
+        val = np.empty((lo.size, len(ks)), dtype=complex)
+        err = np.empty((lo.size, len(ks)))
+        for i in range(0, lo.size, _PANEL_BLOCK):
+            s = slice(i, i + _PANEL_BLOCK)
+            g = grp[s]
+            val[s], err[s] = _panels(lo[s], hi[s], gw[g], gx[g], gy[g], gz[g], ks)
+        return val, err
 
     val, err = panels(lo, hi, grp)
     while True:
@@ -252,6 +271,8 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig,
         err = np.concatenate((err[keep], new_err))
 
     group_val = _group_sums(grp, val.real, groups) + 1j * _group_sums(grp, val.imag, groups)
+    # keep this form: numpy's complex multiply rounds differently on its SIMD
+    # and scalar paths, and picks one by array length and stride
     values = w[0] * group_val[0::2] - w[1] * group_val[1::2]
     estimates = group_err[0::2] + group_err[1::2] + trunc_bound
     ok = group_err.reshape(x.size, -1).max(axis=1) <= ray_budget

@@ -25,6 +25,10 @@ from .params import Form
 # Beyond these bounds a 2D Newton iterate is recorded as divergent.
 _DIVERGENCE_Y = 10.0
 _DIVERGENCE_Z = 14.0
+# Grid cells per kernel call in modulus_scan: enough that per-call set-up is
+# small against the quadrature, few enough that the kernel's per-panel arrays
+# stay small.
+_SCAN_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -249,11 +253,14 @@ class ScanGrid:
 
 def modulus_scan(y_range, z_range, ny: int, nz: int,
                  cfg: QuadratureConfig | None = None) -> ScanGrid:
-    """Evaluate |Q(0, y, z)| on a regular grid, one kernel call per row.
+    """Evaluate |Q(0, y, z)| on a regular grid, one kernel call per block of
+    up to 512 cells in row-major order.
 
     Cells where the quadrature budget runs out are flagged 'tol_miss' and
-    keep their best-effort value; the other cells of the row are unaffected.
+    keep their best-effort value; the other cells of the block are unaffected.
     """
+    if not all(math.isfinite(v) for v in (*y_range, *z_range)):
+        raise ValueError("scan ranges must be finite")
     if ny < 1 or nz < 1:
         raise ValueError("resolution must be at least 1 point per axis")
     if ny == 1 and y_range[0] != y_range[1]:
@@ -263,9 +270,13 @@ def modulus_scan(y_range, z_range, ny: int, nz: int,
     cfg = cfg or QuadratureConfig()
     ys = np.linspace(y_range[0], y_range[1], ny)
     zs = np.linspace(z_range[0], z_range[1], nz)
-    abs_q = np.empty((ny, nz))
-    ok = np.empty((ny, nz), dtype=bool)
-    for i, y in enumerate(ys):
-        values, _, _, ok[i] = _integrate_points(np.zeros(nz), np.full(nz, y), zs, (0,), cfg)
-        abs_q[i] = np.abs(values[:, 0])
-    return ScanGrid(ys, zs, abs_q, np.where(ok, "ok", "tol_miss"))
+    y_cells, z_cells = np.repeat(ys, nz), np.tile(zs, ny)
+    abs_q = np.empty(ny * nz)
+    ok = np.empty(ny * nz, dtype=bool)
+    for i in range(0, ny * nz, _SCAN_BLOCK):
+        s = slice(i, i + _SCAN_BLOCK)
+        values, _, _, ok[s] = _integrate_points(
+            np.zeros_like(y_cells[s]), y_cells[s], z_cells[s], (0,), cfg)
+        abs_q[s] = np.abs(values[:, 0])
+    return ScanGrid(ys, zs, abs_q.reshape(ny, nz),
+                    np.where(ok, "ok", "tol_miss").reshape(ny, nz))

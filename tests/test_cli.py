@@ -196,6 +196,18 @@ def test_trace_bad_controls_exit_2(capsys, flag):
     assert out == "" and "error" in err
 
 
+@pytest.mark.parametrize("y_range, z_range", [("0:nan", "1:2"), ("0:inf", "1:2"),
+                                              ("0:1", "-inf:1")])
+def test_scan_non_finite_range_exit_2(capsys, tmp_path, y_range, z_range):
+    out = tmp_path / "g.csv"
+    code, stdout, err = run_cli(capsys, ["scan", f"--y-range={y_range}", f"--z-range={z_range}",
+                                         "--ny", "3", "--nz", "3", "--tol", "1e-6",
+                                         "--out", str(out)])
+    assert code == 2
+    assert stdout == "" and "error" in err
+    assert not out.exists()
+
+
 def test_unwritable_output_exit_5(capsys):
     code, _, err = run_cli(capsys, ["scan", "--y-range", "0:1", "--z-range", "0:1",
                                     "--ny", "2", "--nz", "2", "--tol", "1e-6",

@@ -258,6 +258,22 @@ def test_batched_row_matches_single_points():
         assert abs(values[j, 0] - single.value) <= estimates[j, 0] + single.abs_error_estimate
 
 
+def test_batched_moments_match_single_points():
+    # 320 points of mixed cost in one call span many 256-panel slices and
+    # go through t**k; each point's values, estimates and panel count equal
+    # those of its one-point call
+    rng = np.random.default_rng(20261018)
+    x, y = rng.uniform(-2.0, 2.0, 320), rng.uniform(-3.0, 3.0, 320)
+    z = rng.uniform(-24.0, 16.0, 320)
+    cfg = QuadratureConfig()
+    values, estimates, panels, ok = _integrate_points(x, y, z, (0, 1, 2), cfg)
+    assert panels.min() == 16 and panels.max() > 40
+    for i in range(x.size):
+        one = _integrate_points(x[i:i + 1], y[i:i + 1], z[i:i + 1], (0, 1, 2), cfg)
+        assert (one[0][0] == values[i]).all() and (one[1][0] == estimates[i]).all()
+        assert one[2][0] == panels[i] and one[3][0] == ok[i]
+
+
 def _reference_radius(x, y, z, k, log_target, sin5):
     """The eigenvalue form of the truncation radius: both conditions by np.roots."""
     ax, ay, az = abs(x), abs(y), abs(z)

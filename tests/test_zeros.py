@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from swallowtail import (
 )
 import swallowtail.zeros as zeros
 from swallowtail.zeros import ScanGrid
-from swallowtail.oracle import _integrate
+from swallowtail.oracle import _integrate, _integrate_points
 from conftest import q_axis_series
 
 # Certified axis zeros, cross-checked against the quadrature-free series
@@ -207,8 +208,8 @@ def test_scan_json_roundtrip(tmp_path, cfg_fast):
 
 
 def test_scan_isolates_a_tolerance_miss():
-    # one kernel call per row: a cell that runs out of panels must not
-    # disturb the other cells of its row
+    # one kernel call per block of cells: a cell that runs out of panels
+    # must not disturb the other cells of its block
     cfg = QuadratureConfig(target_abs_tol=1e-8, max_subdivisions=20)
     grid = modulus_scan((0.3, 0.3), (-24.0, 16.0), 1, 5, cfg)
     assert grid.flags[0].tolist() == ["tol_miss", "ok", "ok", "ok", "ok"]
@@ -246,6 +247,63 @@ def test_scan_validation():
         modulus_scan((0.0, 1.0), (0.0, 1.0), 0, 2)
     with pytest.raises(ValueError):
         modulus_scan((0.0, 1.0), (0.0, 1.0), 1, 2)   # non-degenerate range, 1 row
+
+
+@pytest.mark.parametrize("y_range, z_range", [
+    ((0.0, math.nan), (-1.0, 1.0)),
+    ((0.0, math.inf), (-1.0, 1.0)),
+    ((0.0, 1.0), (-math.inf, 1.0)),
+    ((math.nan, math.nan), (0.0, 1.0)),
+])
+def test_scan_rejects_non_finite_ranges(y_range, z_range):
+    with pytest.raises(ValueError, match="finite"):
+        modulus_scan(y_range, z_range, 3, 3)
+
+
+def test_scan_makes_one_kernel_call_per_block(monkeypatch, cfg_fast):
+    calls = []
+
+    def counting(x, y, z, ks, cfg):
+        calls.append(x.size)
+        return _integrate_points(x, y, z, ks, cfg)
+
+    monkeypatch.setattr(zeros, "_integrate_points", counting)
+    modulus_scan((0.0, 1.0), (-6.0, 6.0), 20, 20, cfg_fast)
+    assert calls == [400]
+    calls.clear()
+    modulus_scan((0.0, 1.0), (-6.0, 6.0), 40, 40, cfg_fast)
+    assert calls == [512, 512, 512, 64]
+
+
+def test_scan_blocks_change_no_cell():
+    # a 40 x 40 scan spans four point blocks and many 256-panel slices; each
+    # sampled cell, a tolerance miss among them, equals its one-point result
+    cfg = QuadratureConfig(target_abs_tol=1e-8, max_subdivisions=20)
+    grid = modulus_scan((0.0, 3.0), (-24.0, 16.0), 40, 40, cfg)
+    misses = np.argwhere(grid.flags == "tol_miss")
+    assert 0 < len(misses) < grid.flags.size
+    cells = [misses[0]] + list(np.random.default_rng(9).integers(0, 40, (29, 2)))
+    for i, j in cells:
+        try:
+            value = _integrate(0.0, grid.y_values[i], grid.z_values[j], (0,), cfg)[0].value
+            flag = "ok"
+        except ToleranceNotReached as exc:
+            value, flag = exc.partial.value, "tol_miss"
+        assert grid.flags[i, j] == flag
+        assert grid.abs_q[i, j] == np.abs(value)
+
+
+def test_scan_memory_stays_bounded():
+    # the kernel slices its panels, so a grid much larger than one point
+    # block still keeps every temporary small
+    cfg = QuadratureConfig(target_abs_tol=1e-8)
+    tracemalloc.start()
+    try:
+        modulus_scan((0.0, 3.0), (-24.0, 16.0), 60, 60, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 def test_scan_min_and_argmin(cfg_fast):
