@@ -226,7 +226,7 @@ def below_caustic_obstruction(sp: ScaledParams) -> ObstructionReport:
     if sset.regime is not Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR:
         raise RegimeError("obstruction report requires the real-pair regime")
     t1, t2 = sset.real_roots()
-    sigma = 0.8 if sp.sign_z is ZSign.POSITIVE else -0.8
+    sigma = 0.8 * sp.sign_z.value
     f1 = 0.3 * sp.gamma * t1 * t1 + sigma * t1   # reduced phase at a real saddle
     f2 = 0.3 * sp.gamma * t2 * t2 + sigma * t2
     fpp1 = 4.0 * t1 ** 3 + sp.gamma

@@ -9,6 +9,7 @@ tracing, 5 unwritable output path.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -85,12 +86,13 @@ def _refine_echo(cfg: RefineConfig, tol_key: str, *fields: str) -> dict:
             **_quad_echo(cfg.quadrature)}
 
 
-def _add_quad_flags(parser, default_tol=1e-10):
-    parser.add_argument("--tol", type=float, default=default_tol,
+def _add_quad_flags(parser):
+    parser.add_argument("--tol", type=float, default=QuadratureConfig.target_abs_tol,
                         help="absolute quadrature tolerance (default %(default)s)")
-    parser.add_argument("--max-subdivisions", type=int, default=1500,
+    parser.add_argument("--max-subdivisions", type=int,
+                        default=QuadratureConfig.max_subdivisions,
                         help="panel budget per contour ray (default %(default)s)")
-    parser.add_argument("--safety", type=float, default=10.0,
+    parser.add_argument("--safety", type=float, default=QuadratureConfig.truncation_safety,
                         help="truncation safety factor (default %(default)s)")
 
 
@@ -201,15 +203,7 @@ def cmd_zeros_confine(args) -> int:
     _emit("zeros-confine", {
         "y0": args.y0, "branch": args.branch, "m": args.m,
         **_refine_echo(cfg, "modulus_tol", "max_iterations", "max_backtracks"),
-    }, {
-        "seed_y": record.seed_y,
-        "seed_z": record.seed_z,
-        "converged": record.converged,
-        "final_y": record.final_y,
-        "final_z": record.final_z,
-        "final_modulus": record.final_modulus,
-        "iterations": record.iterations,
-    })
+    }, dataclasses.asdict(record))
     return 0
 
 
@@ -259,6 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # flag defaults are the library's own
+    newton, trace_defaults = RefineConfig(), trace_steepest.__kwdefaults__
 
     p_eval = sub.add_parser("eval", help="evaluate S or Q at a point")
     p_eval.add_argument("--x", type=float, required=True)
@@ -278,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--z", type=float, required=True)
     p_trace.add_argument("--saddle", type=int, choices=range(4), required=True)
     p_trace.add_argument("--direction", choices=["left", "right"], required=True)
-    p_trace.add_argument("--step", type=float, default=0.01)
-    p_trace.add_argument("--cutoff", type=float, default=8.0)
+    p_trace.add_argument("--step", type=float, default=trace_defaults["step"])
+    p_trace.add_argument("--cutoff", type=float, default=trace_defaults["cutoff_radius"])
     p_trace.set_defaults(func=cmd_trace)
 
     p_zeros = sub.add_parser("zeros", help="predict, refine and test axis zeros")
@@ -294,12 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ref = zsub.add_parser("refine", help="Newton-refine one predicted zero")
     p_ref.add_argument("--branch", choices=["pos", "neg"], required=True)
     p_ref.add_argument("--m", type=int, required=True)
-    p_ref.add_argument("--residual-tol", type=float, default=1e-9)
-    p_ref.add_argument("--residual-mode", choices=["abs", "rel"], default="abs",
+    p_ref.add_argument("--residual-tol", type=float, default=newton.residual_tol)
+    p_ref.add_argument("--residual-mode", choices=["abs", "rel"],
+                       default=newton.residual_mode,
                        help="'rel' scales the tolerance by the local envelope "
                             "(meaningful for large positive z)")
-    p_ref.add_argument("--max-abs-z", type=float, default=12.0)
-    p_ref.add_argument("--tol", type=float, default=1e-11,
+    p_ref.add_argument("--max-abs-z", type=float, default=newton.max_abs_z)
+    p_ref.add_argument("--tol", type=float, default=newton.quadrature.target_abs_tol,
                        help="quadrature tolerance used inside Newton")
     p_ref.set_defaults(func=cmd_zeros_refine)
 
@@ -307,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_conf.add_argument("--y0", type=float, required=True)
     p_conf.add_argument("--branch", choices=["pos", "neg"], required=True)
     p_conf.add_argument("--m", type=int, required=True)
-    p_conf.add_argument("--modulus-tol", type=float, default=1e-9)
-    p_conf.add_argument("--tol", type=float, default=1e-11)
+    p_conf.add_argument("--modulus-tol", type=float, default=newton.residual_tol)
+    p_conf.add_argument("--tol", type=float, default=newton.quadrature.target_abs_tol)
     p_conf.set_defaults(func=cmd_zeros_confine)
 
     p_scan = sub.add_parser("scan", help="|Q| on a (y, z) grid, exported to a file")

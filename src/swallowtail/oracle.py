@@ -82,7 +82,13 @@ _PANEL_BLOCK = 256
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerance and budget knobs for the contour evaluator."""
+    """Tolerance and budget knobs for the contour evaluator.
+
+    Accepted ranges (``ValueError`` otherwise): ``target_abs_tol`` finite and
+    > 0, ``max_subdivisions`` >= 8, ``truncation_safety`` > 1 (NaN not), and
+    2 * truncation_safety / target_abs_tol finite, since the truncation
+    radius solves for its logarithm.
+    """
 
     target_abs_tol: float = 1e-10
     max_subdivisions: int = 1500   # panel budget per ray
@@ -93,8 +99,10 @@ class QuadratureConfig:
             raise ValueError("target_abs_tol must be a positive finite number")
         if self.max_subdivisions < 8:
             raise ValueError("max_subdivisions must be at least 8")
-        if self.truncation_safety <= 1.0:
+        if not self.truncation_safety > 1.0:
             raise ValueError("truncation_safety must exceed 1")
+        if not math.isfinite(2.0 * self.truncation_safety / self.target_abs_tol):
+            raise ValueError("2 * truncation_safety / target_abs_tol must be finite")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,8 @@ _CAUSTIC_BAND = 1e-9      # classification band around the caustic
 
 
 class ZSign(Enum):
+    """The sign of z; each member's value is that sign, +1 or -1."""
+
     POSITIVE = 1
     NEGATIVE = -1
 
@@ -89,8 +91,6 @@ class SaddleSet:
     p: float
     q1: float
     q2: float
-    gamma: float
-    sign_z: ZSign
 
     def real_roots(self):
         """The two real saddles, sorted increasing (real-pair regime only)."""
@@ -132,13 +132,11 @@ def scale(p: Params) -> ScaledParams:
 
 def phase(t: complex, gamma: float, sign_z: ZSign) -> complex:
     """The rescaled phase t^5/5 + gamma t^2/2 + sigma t."""
-    sigma = 1.0 if sign_z is ZSign.POSITIVE else -1.0
-    return t ** 5 / 5.0 + 0.5 * gamma * t * t + sigma * t
+    return t ** 5 / 5.0 + 0.5 * gamma * t * t + sign_z.value * t
 
 
 def phase_derivative(t: complex, gamma: float, sign_z: ZSign) -> complex:
-    sigma = 1.0 if sign_z is ZSign.POSITIVE else -1.0
-    return t ** 4 + gamma * t + sigma
+    return t ** 4 + gamma * t + sign_z.value
 
 
 def phase_second_derivative(t: complex, gamma: float) -> complex:
@@ -172,17 +170,16 @@ def _polish(roots: np.ndarray, gamma: float, sigma: float) -> np.ndarray:
     return roots
 
 
-def _degenerate_set(roots, sp: ScaledParams) -> SaddleSet:
+def _degenerate_set(roots) -> SaddleSet:
     ordered = tuple(sorted((complex(r) for r in roots), key=cmath.phase))
     nan = float("nan")
-    return SaddleSet(ordered, Regime.DEGENERATE, nan, nan, nan, sp.gamma, sp.sign_z)
+    return SaddleSet(ordered, Regime.DEGENERATE, nan, nan, nan)
 
 
 def saddles(sp: ScaledParams) -> SaddleSet:
     """Solve f'(t) = 0, classify the configuration and label the roots."""
-    sigma = 1.0 if sp.sign_z is ZSign.POSITIVE else -1.0
-    raw = np.roots([1.0, 0.0, 0.0, sp.gamma, sigma])
-    raw = _polish(raw, sp.gamma, sigma)
+    sigma = sp.sign_z.value
+    raw = _polish(np.roots([1.0, 0.0, 0.0, sp.gamma, sigma]), sp.gamma, sigma)
 
     scale_ = np.maximum(1.0, np.abs(raw))
     real_mask = np.abs(raw.imag) <= _PAIR_TOL * scale_
@@ -193,38 +190,37 @@ def saddles(sp: ScaledParams) -> SaddleSet:
         upper = sorted((complex(r) for r in raw if r.imag > 0), key=lambda r: -r.real)
         lower = sorted((complex(r) for r in raw if r.imag < 0), key=lambda r: -r.real)
         if len(upper) != 2 or len(lower) != 2:
-            return _degenerate_set(raw, sp)
+            return _degenerate_set(raw)
         right_up, left_up = upper
         right_dn, left_dn = lower
         if (abs(right_up - right_dn.conjugate()) > _PAIR_TOL * max(1.0, abs(right_up))
                 or abs(left_up - left_dn.conjugate()) > _PAIR_TOL * max(1.0, abs(left_up))):
-            return _degenerate_set(raw, sp)
+            return _degenerate_set(raw)
         if abs(right_up.real - left_up.real) <= _PAIR_TOL:
-            return _degenerate_set(raw, sp)   # pairs collapsing onto one vertical line
+            return _degenerate_set(raw)   # pairs collapsing onto one vertical line
         p = right_up.real
         q1 = abs(right_up.imag)
         q2 = abs(left_up.imag)
         roots = (right_up, left_up, left_up.conjugate(), right_up.conjugate())
-        return SaddleSet(roots, Regime.TWO_CONJUGATE_PAIRS, p, q1, q2, sp.gamma, sp.sign_z)
+        return SaddleSet(roots, Regime.TWO_CONJUGATE_PAIRS, p, q1, q2)
 
     if n_real == 2:
         reals = np.sort(raw.real[real_mask])
         r_lo, r_hi = float(reals[0]), float(reals[1])
         if abs(r_hi - r_lo) <= 1e-6 * max(1.0, abs(r_hi)):
-            return _degenerate_set(raw, sp)   # collided real pair: on the caustic
+            return _degenerate_set(raw)   # collided real pair: on the caustic
         cpx = [complex(r) for r in raw[~real_mask]]
         up = next((r for r in cpx if r.imag > 0), None)
         dn = next((r for r in cpx if r.imag < 0), None)
         if up is None or dn is None or abs(up - dn.conjugate()) > _PAIR_TOL * max(1.0, abs(up)):
-            return _degenerate_set(raw, sp)
+            return _degenerate_set(raw)
         if sp.sign_z is ZSign.NEGATIVE:
             roots = (complex(r_hi), up, complex(r_lo), dn)
         else:
             roots = (up, complex(r_hi), complex(r_lo), dn)
-        return SaddleSet(roots, Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR,
-                         nan, nan, nan, sp.gamma, sp.sign_z)
+        return SaddleSet(roots, Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR, nan, nan, nan)
 
-    return _degenerate_set(raw, sp)
+    return _degenerate_set(raw)
 
 
 def phase_at_saddle(sp: ScaledParams, k: int, saddle_set: SaddleSet | None = None) -> complex:
@@ -236,8 +232,7 @@ def phase_at_saddle(sp: ScaledParams, k: int, saddle_set: SaddleSet | None = Non
     """
     sset = saddle_set if saddle_set is not None else saddles(sp)
     t = sset.roots[k]
-    sigma = 1.0 if sp.sign_z is ZSign.POSITIVE else -1.0
-    return 0.3 * sp.gamma * t * t + sigma * 0.8 * t
+    return 0.3 * sp.gamma * t * t + sp.sign_z.value * 0.8 * t
 
 
 def _descent_angles(fpp: complex):
@@ -294,7 +289,7 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     if sset.regime is Regime.DEGENERATE:
         raise PathStalled("saddle set is degenerate; no isolated branch to trace")
     gamma, sign_z = sp.gamma, sp.sign_z
-    sigma = 1.0 if sign_z is ZSign.POSITIVE else -1.0
+    sigma = sign_z.value
     f0 = phase(t0, gamma, sign_z)
     fpp = phase_second_derivative(t0, gamma)
     if abs(fpp) < 1e-12:

@@ -14,30 +14,6 @@ from __future__ import annotations
 
 ENVELOPE_SCHEMA_VERSION = "1"
 
-COMMANDS = (
-    "eval",
-    "saddles",
-    "trace",
-    "zeros-predict",
-    "zeros-refine",
-    "zeros-confine",
-    "scan",
-)
-
-ENVELOPE_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["command", "params_echo", "results", "tool_version"],
-    "additionalProperties": False,
-    "properties": {
-        "command": {"type": "string", "enum": list(COMMANDS)},
-        "params_echo": {"type": "object"},
-        "results": {"type": "object"},
-        "tool_version": {"type": "string"},
-        "schema_version": {"type": "string"},
-    },
-}
-
 _COMPLEX_PAIR = {
     "type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2,
 }
@@ -141,6 +117,20 @@ RESULT_SCHEMAS = {
             "argmin_z": {"type": "number"},
             "flagged_cells": {"type": "integer", "minimum": 0},
         },
+    },
+}
+
+ENVELOPE_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "type": "object",
+    "required": ["command", "params_echo", "results", "tool_version"],
+    "additionalProperties": False,
+    "properties": {
+        "command": {"type": "string", "enum": list(RESULT_SCHEMAS)},
+        "params_echo": {"type": "object"},
+        "results": {"type": "object"},
+        "tool_version": {"type": "string"},
+        "schema_version": {"type": "string"},
     },
 }
 

@@ -63,6 +63,10 @@ class RefineConfig:
     with "rel" the tolerance is scaled by the local oscillation envelope,
     which keeps the convergence test meaningful at large positive z where
     the whole function is exponentially small.
+
+    Accepted ranges (``ValueError`` otherwise): ``residual_tol`` finite and
+    > 0, ``max_iterations`` >= 1, ``max_backtracks`` >= 0, ``max_abs_z`` > 0
+    (inf allowed, NaN not), ``residual_mode`` "abs" or "rel".
     """
 
     residual_tol: float = 1e-9
@@ -76,6 +80,12 @@ class RefineConfig:
     def __post_init__(self):
         if self.residual_mode not in ("abs", "rel"):
             raise ValueError("residual_mode must be 'abs' or 'rel'")
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0.0):
+            raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol!r}")
+        if not self.max_abs_z > 0.0:
+            raise ValueError(f"max_abs_z must be positive, got {self.max_abs_z!r}")
+        if self.max_iterations < 1 or self.max_backtracks < 0:
+            raise ValueError("max_iterations must be at least 1 and max_backtracks at least 0")
 
 
 def _q_axis(z: float, cfg: QuadratureConfig):
@@ -105,9 +115,11 @@ def refine_on_axis(seed: ZeroPrediction, cfg: RefineConfig | None = None) -> Ref
         return cfg.residual_tol
 
     g, gp = _q_axis(z, quad)
-    for it in range(1, cfg.max_iterations + 1):
+    for it in range(cfg.max_iterations + 1):
         if abs(g) < tol_at(z):
-            return RefinedZero(z, seed.m, seed.branch, abs(g), it - 1)
+            return RefinedZero(z, seed.m, seed.branch, abs(g), it)
+        if it == cfg.max_iterations:
+            break
         if gp == 0.0 or not math.isfinite(gp):
             raise NoConvergence(f"vanishing derivative at z = {z:.6f}")
         step = -g / gp
@@ -120,8 +132,6 @@ def refine_on_axis(seed: ZeroPrediction, cfg: RefineConfig | None = None) -> Ref
             z_new = z + step
             g_new, gp_new = _q_axis(z_new, quad)
         z, g, gp = z_new, g_new, gp_new
-    if abs(g) < tol_at(z):
-        return RefinedZero(z, seed.m, seed.branch, abs(g), cfg.max_iterations)
     raise NoConvergence(
         f"residual {abs(g):.3e} after {cfg.max_iterations} iterations from seed "
         f"{seed.z_predicted:.6f}")
@@ -153,39 +163,33 @@ def axis_confinement_scan(y0: float, branch: Branch, m: int,
     """Run 2D Newton on (Re Q, Im Q) seeded off-axis at a predicted zero.
 
     Non-convergence is data, not an error: the record carries where the
-    iteration ended and the modulus there.
+    iteration ended and the modulus there.  A non-finite ``y0`` raises
+    ``ValueError``.
     """
+    if not math.isfinite(y0):
+        raise ValueError(f"y0 must be finite, got {y0!r}")
     cfg = cfg or RefineConfig()
     seed_z = predicted_zeros(branch, m)[m].z_predicted
     quad = cfg.quadrature
-
-    def polish(y, z, q, f, jac):
-        # one extra Newton step once converged; quadratic contraction pulls
-        # final_y to rounding level instead of leaving it at ~sqrt(tol)
-        try:
-            delta = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            return y, z, q
-        if not np.all(np.isfinite(delta)):
-            return y, z, q
-        q2, _, _ = _q_and_jacobian(y + delta[0], z + delta[1], quad)
-        if abs(q2) <= abs(q):
-            return y + delta[0], z + delta[1], q2
-        return y, z, q
-
     y, z = float(y0), seed_z
     q, f, jac = _q_and_jacobian(y, z, quad)
-    it = 0
-    for it in range(1, cfg.max_iterations + 1):
-        if abs(q) < cfg.residual_tol:
-            y, z, q = polish(y, z, q, f, jac)
-            return AxisConfinementRecord(y0, seed_z, True, y, z, abs(q), it - 1)
+    for it in range(cfg.max_iterations + 1):
+        converged = abs(q) < cfg.residual_tol
+        if it == cfg.max_iterations and not converged:
+            break
         try:
             delta = np.linalg.solve(jac, -f)
         except np.linalg.LinAlgError:
-            return AxisConfinementRecord(y0, seed_z, False, y, z, abs(q), it - 1)
+            break
         if not np.all(np.isfinite(delta)):
-            return AxisConfinementRecord(y0, seed_z, False, y, z, abs(q), it - 1)
+            break
+        if converged:
+            # one extra Newton step once converged; quadratic contraction pulls
+            # final_y to rounding level instead of leaving it at ~sqrt(tol)
+            q2, _, _ = _q_and_jacobian(y + delta[0], z + delta[1], quad)
+            if abs(q2) <= abs(q):
+                y, z, q = y + delta[0], z + delta[1], q2
+            break
         scale = 1.0
         y_new, z_new = y + delta[0], z + delta[1]
         q_new, f_new, jac_new = _q_and_jacobian(y_new, z_new, quad)
@@ -197,10 +201,7 @@ def axis_confinement_scan(y0: float, branch: Branch, m: int,
             q_new, f_new, jac_new = _q_and_jacobian(y_new, z_new, quad)
         y, z, q, f, jac = y_new, z_new, q_new, f_new, jac_new
         if abs(y) > _DIVERGENCE_Y or abs(z) > _DIVERGENCE_Z:
-            return AxisConfinementRecord(y0, seed_z, False, y, z, abs(q), it)
-    converged = abs(q) < cfg.residual_tol
-    if converged:
-        y, z, q = polish(y, z, q, f, jac)
+            return AxisConfinementRecord(y0, seed_z, False, y, z, abs(q), it + 1)
     return AxisConfinementRecord(y0, seed_z, converged, y, z, abs(q), it)
 
 

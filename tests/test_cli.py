@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import os
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import swallowtail
-from swallowtail import QuadratureConfig, RefineConfig
-from swallowtail.cli import main
+from swallowtail import QuadratureConfig, RefineConfig, trace_steepest
+from swallowtail.cli import build_parser, main
 from swallowtail.schema import validate_envelope
 
 # child interpreters find the package under test whether or not it is installed
@@ -206,6 +207,51 @@ def test_scan_non_finite_range_exit_2(capsys, tmp_path, y_range, z_range):
     assert code == 2
     assert stdout == "" and "error" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--x", "0", "--y", "0", "--z", "1", "--safety", "inf"],
+    ["eval", "--x", "0", "--y", "0", "--z", "1", "--safety", "1e300"],
+    ["eval", "--x", "0", "--y", "0", "--z", "1", "--safety", "nan"],
+    ["zeros", "refine", "--branch", "pos", "--m", "9", "--max-abs-z", "nan"],
+    ["zeros", "refine", "--branch", "neg", "--m", "0", "--residual-tol", "nan"],
+    ["zeros", "refine", "--branch", "neg", "--m", "0", "--residual-tol=-1"],
+    ["zeros", "confine", "--y0", "0.3", "--branch", "pos", "--m", "0",
+     "--modulus-tol", "nan"],
+    ["zeros", "confine", "--y0", "nan", "--branch", "pos", "--m", "0"],
+    ["zeros", "confine", "--y0", "inf", "--branch", "pos", "--m", "0"],
+])
+def test_bad_config_values_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == "" and "error" in err
+
+
+def test_flag_defaults_are_the_library_defaults():
+    quad, newton = QuadratureConfig(), RefineConfig()
+    trace = inspect.signature(trace_steepest).parameters
+    library = {"tol": quad.target_abs_tol, "max_subdivisions": quad.max_subdivisions,
+               "safety": quad.truncation_safety}
+    expected = {
+        ("eval", "--x", "0", "--y", "0", "--z", "1"): {**library, "form": "Q"},
+        ("saddles", "--y", "0", "--z", "1"): {},
+        ("trace", "--y", "0", "--z", "1", "--saddle", "0", "--direction", "left"):
+            {"step": trace["step"].default, "cutoff": trace["cutoff_radius"].default},
+        ("zeros", "predict", "--branch", "pos", "--m-max", "1"): {"form": "Q"},
+        ("zeros", "refine", "--branch", "pos", "--m", "0"):
+            {"residual_tol": newton.residual_tol, "residual_mode": newton.residual_mode,
+             "max_abs_z": newton.max_abs_z, "tol": newton.quadrature.target_abs_tol},
+        ("zeros", "confine", "--y0", "0", "--branch", "pos", "--m", "0"):
+            {"modulus_tol": newton.residual_tol, "tol": newton.quadrature.target_abs_tol},
+        ("scan", "--y-range", "0:1", "--z-range", "0:1", "--ny", "2", "--nz", "2",
+         "--out", "g.csv"): {**library, "format": "csv"},
+    }
+    for argv, defaults in expected.items():
+        args = vars(build_parser().parse_args(argv))
+        given = {a[2:].replace("-", "_") for a in argv if a.startswith("--")}
+        defaulted = {k: v for k, v in args.items()
+                     if k not in given and k not in ("func", "command", "zeros_command")}
+        assert defaulted == defaults, argv
 
 
 def test_unwritable_output_exit_5(capsys):

@@ -189,6 +189,13 @@ def test_config_validation():
         QuadratureConfig(max_subdivisions=4)
     with pytest.raises(ValueError):
         QuadratureConfig(truncation_safety=1.0)
+    # 2 * safety / tol must stay finite: an infinite log target once cut the
+    # rays at r = 1 and returned a wrong value marked "ok"
+    for safety in (math.inf, 1e300, math.nan):
+        with pytest.raises(ValueError):
+            QuadratureConfig(truncation_safety=safety)
+    with pytest.raises(ValueError):
+        QuadratureConfig(target_abs_tol=5e-324)
 
 
 def test_eval_result_invariant():

@@ -8,6 +8,7 @@ import pytest
 
 from swallowtail import (
     Branch,
+    Form,
     NoConvergence,
     Params,
     QuadratureConfig,
@@ -16,13 +17,14 @@ from swallowtail import (
     ToleranceNotReached,
     ZeroPrediction,
     axis_confinement_scan,
+    axis_envelope,
     eval_q,
     modulus_scan,
     predicted_zeros,
     refine_on_axis,
 )
 import swallowtail.zeros as zeros
-from swallowtail.zeros import ScanGrid
+from swallowtail.zeros import AxisConfinementRecord, RefinedZero, ScanGrid
 from swallowtail.oracle import _integrate, _integrate_points
 from conftest import q_axis_series
 
@@ -117,6 +119,12 @@ def test_relative_residual_mode():
 def test_refine_config_validation():
     with pytest.raises(ValueError):
         RefineConfig(residual_mode="bogus")
+    for bad in ({"residual_tol": math.nan}, {"residual_tol": math.inf},
+                {"residual_tol": 0.0}, {"residual_tol": -1.0},
+                {"max_abs_z": math.nan}, {"max_abs_z": 0.0}, {"max_abs_z": -12.0},
+                {"max_iterations": 0}, {"max_backtracks": -1}):
+        with pytest.raises(ValueError):
+            RefineConfig(**bad)
 
 
 # ------------------------------------------------------- axis confinement
@@ -135,6 +143,12 @@ def test_confinement_axis_is_exactly_invariant():
     rec = axis_confinement_scan(0.0, Branch.POSITIVE_Z, 0)
     assert rec.converged
     assert rec.final_y == 0.0
+
+
+@pytest.mark.parametrize("y0", [math.nan, math.inf, -math.inf])
+def test_confinement_rejects_non_finite_seed(y0):
+    with pytest.raises(ValueError, match="y0 must be finite"):
+        axis_confinement_scan(y0, Branch.POSITIVE_Z, 0)
 
 
 def test_confinement_record_shape_on_divergence():
@@ -336,3 +350,139 @@ def test_newton_spends_one_kernel_call_per_point(monkeypatch):
     assert {ks for _, _, ks in calls} == {(0, 1, 2)}
     assert len(calls) >= rec.iterations + 2          # seed, iterates and the polish
     assert len({(y, z) for y, z, _ in calls}) == len(calls)
+
+
+# ------------------------------------------------ reference Newton loops
+
+
+def _reference_refine(seed, cfg):
+    """refine_on_axis as it was when it tested |Q| at the top of each
+    iteration and again after the loop, kept verbatim (renamed, helpers read
+    through the module) as the reference the 1D records must equal bit for
+    bit."""
+    z = seed.z_predicted if seed.form is Form.Q else seed.z_predicted / 5.0 ** 0.2
+    if abs(z) > cfg.max_abs_z:
+        raise SeedOutOfRange(
+            f"|z| = {abs(z):.3f} exceeds the feasible range {cfg.max_abs_z}; "
+            "raise max_abs_z (and consider residual_mode='rel') for larger z")
+    quad = cfg.quadrature
+
+    def tol_at(z_val: float) -> float:
+        if cfg.residual_mode == "rel":
+            return cfg.residual_tol * axis_envelope(z_val)
+        return cfg.residual_tol
+
+    g, gp = zeros._q_axis(z, quad)
+    for it in range(1, cfg.max_iterations + 1):
+        if abs(g) < tol_at(z):
+            return RefinedZero(z, seed.m, seed.branch, abs(g), it - 1)
+        if gp == 0.0 or not math.isfinite(gp):
+            raise NoConvergence(f"vanishing derivative at z = {z:.6f}")
+        step = -g / gp
+        z_new = z + step
+        g_new, gp_new = zeros._q_axis(z_new, quad)
+        for _ in range(cfg.max_backtracks):
+            if abs(g_new) < abs(g):
+                break
+            step *= 0.5
+            z_new = z + step
+            g_new, gp_new = zeros._q_axis(z_new, quad)
+        z, g, gp = z_new, g_new, gp_new
+    if abs(g) < tol_at(z):
+        return RefinedZero(z, seed.m, seed.branch, abs(g), cfg.max_iterations)
+    raise NoConvergence(
+        f"residual {abs(g):.3e} after {cfg.max_iterations} iterations from seed "
+        f"{seed.z_predicted:.6f}")
+
+
+def _reference_confine(y0, branch, m, cfg):
+    """axis_confinement_scan as it was with a separate ``polish`` step and a
+    convergence test both in and after the loop, kept verbatim (renamed,
+    helpers read through the module) as the reference the 2D records must
+    equal bit for bit."""
+    seed_z = predicted_zeros(branch, m)[m].z_predicted
+    quad = cfg.quadrature
+
+    def polish(y, z, q, f, jac):
+        # one extra Newton step once converged; quadratic contraction pulls
+        # final_y to rounding level instead of leaving it at ~sqrt(tol)
+        try:
+            delta = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return y, z, q
+        if not np.all(np.isfinite(delta)):
+            return y, z, q
+        q2, _, _ = zeros._q_and_jacobian(y + delta[0], z + delta[1], quad)
+        if abs(q2) <= abs(q):
+            return y + delta[0], z + delta[1], q2
+        return y, z, q
+
+    y, z = float(y0), seed_z
+    q, f, jac = zeros._q_and_jacobian(y, z, quad)
+    it = 0
+    for it in range(1, cfg.max_iterations + 1):
+        if abs(q) < cfg.residual_tol:
+            y, z, q = polish(y, z, q, f, jac)
+            return AxisConfinementRecord(y0, seed_z, True, y, z, abs(q), it - 1)
+        try:
+            delta = np.linalg.solve(jac, -f)
+        except np.linalg.LinAlgError:
+            return AxisConfinementRecord(y0, seed_z, False, y, z, abs(q), it - 1)
+        if not np.all(np.isfinite(delta)):
+            return AxisConfinementRecord(y0, seed_z, False, y, z, abs(q), it - 1)
+        scale = 1.0
+        y_new, z_new = y + delta[0], z + delta[1]
+        q_new, f_new, jac_new = zeros._q_and_jacobian(y_new, z_new, quad)
+        for _ in range(cfg.max_backtracks):
+            if abs(q_new) < abs(q):
+                break
+            scale *= 0.5
+            y_new, z_new = y + scale * delta[0], z + scale * delta[1]
+            q_new, f_new, jac_new = zeros._q_and_jacobian(y_new, z_new, quad)
+        y, z, q, f, jac = y_new, z_new, q_new, f_new, jac_new
+        if abs(y) > zeros._DIVERGENCE_Y or abs(z) > zeros._DIVERGENCE_Z:
+            return AxisConfinementRecord(y0, seed_z, False, y, z, abs(q), it)
+    converged = abs(q) < cfg.residual_tol
+    if converged:
+        y, z, q = polish(y, z, q, f, jac)
+    return AxisConfinementRecord(y0, seed_z, converged, y, z, abs(q), it)
+
+
+def _outcome(calls, run, *args):
+    """A run's record (with its repr, so types and bits count) or exception,
+    plus the points it evaluated, in order."""
+    calls.clear()
+    try:
+        result = run(*args)
+        out = (result, repr(result))
+    except (NoConvergence, SeedOutOfRange, ToleranceNotReached) as exc:
+        out = (type(exc), str(exc))
+    return out, list(calls)
+
+
+def test_newton_loops_match_reference(monkeypatch):
+    # converged, no-convergence, out-of-range and divergent outcomes (and
+    # quadrature failures at far seeds), at budgets that stop both loops
+    # early and late
+    calls = []
+
+    def recording(x, y, z, ks, cfg):
+        calls.append((y, z, ks))
+        return _integrate(x, y, z, ks, cfg)
+
+    monkeypatch.setattr(zeros, "_integrate", recording)
+    for branch in Branch:
+        for m in range(8):
+            seed = predicted_zeros(branch, m)[m]
+            for mode, max_abs_z in (("abs", 12.0), ("rel", 30.0)):
+                for max_iterations in (1, 3, 25):
+                    cfg = RefineConfig(residual_mode=mode, max_abs_z=max_abs_z,
+                                       max_iterations=max_iterations)
+                    assert (_outcome(calls, refine_on_axis, seed, cfg)
+                            == _outcome(calls, _reference_refine, seed, cfg))
+        for m in range(4):
+            for y0 in (0.0, 0.05, 0.3, 0.7, 1.5, 3.0, 5.0, 8.0):
+                for max_iterations in (1, 4, 25):
+                    cfg = RefineConfig(max_iterations=max_iterations)
+                    assert (_outcome(calls, axis_confinement_scan, y0, branch, m, cfg)
+                            == _outcome(calls, _reference_confine, y0, branch, m, cfg))
