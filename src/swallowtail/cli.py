@@ -38,9 +38,11 @@ from .saddle import (
 from .schema import ENVELOPE_SCHEMA_VERSION
 from .zeros import RefineConfig, axis_confinement_scan, modulus_scan, refine_on_axis
 
-# Past this value of lambda = |z|^(5/4) the contour quadrature still works
-# but keeps getting slower while the integral itself becomes pure asymptotics;
-# the CLI points users at leading_q00 / predicted_zeros instead.
+# Past this value of lambda = |z|^(5/4) the integral is pure asymptotics and
+# the CLI points users at leading_q00 / predicted_zeros instead.  The
+# quadrature fails well below it for z < 0: at tol 1e-8, z = -45 (lambda ~ 117)
+# misses its tolerance after 3000 panels, and z = -1000 (lambda ~ 5600)
+# overflows np.exp and ends on a non-finite error estimate.
 LAMBDA_WARN_THRESHOLD = 1e4
 
 EXIT_BROKEN_PIPE = 1

@@ -217,6 +217,10 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig,
     does not depend on the other points in the batch: a grid scan passes a
     block of cells per call.
 
+    ``ray_angles`` and ``radius_factor`` exist for validation: perturbing the
+    rays within the decay sectors or enlarging the truncation radius must not
+    change the values beyond the reported estimates.
+
     Returns per point: values and estimates (both N x len(ks)), the panel
     count and whether both rays met their budget.
     """
@@ -246,10 +250,6 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig,
     grp = np.repeat(np.arange(groups), 8)
 
     def panels(lo, hi, grp):
-        # one slice: return _panels' own arrays, which keeps a one-point
-        # call about 3 % faster than filling preallocated ones
-        if lo.size <= _PANEL_BLOCK:
-            return _panels(lo, hi, gw[grp], gx[grp], gy[grp], gz[grp], ks)
         val = np.empty((lo.size, len(ks)), dtype=complex)
         err = np.empty((lo.size, len(ks)))
         for i in range(0, lo.size, _PANEL_BLOCK):
@@ -289,16 +289,15 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig,
     return values, estimates, count[0::2] + count[1::2], ok
 
 
-def _integrate(x: float, y: float, z: float, ks, cfg: QuadratureConfig,
-               ray_angles=DEFAULT_RAY_ANGLES,
-               radius_factor: float = 1.0) -> tuple[EvalResult, ...]:
+def _integrate(x: float, y: float, z: float, ks,
+               cfg: QuadratureConfig) -> tuple[EvalResult, ...]:
     """The kernel at one point: one EvalResult per k in ``ks``.
 
     Raises ToleranceNotReached, carrying the k = ks[0] result, when either
     ray misses its budget.
     """
     values, estimates, panels, ok = _integrate_points(
-        np.array([x]), np.array([y]), np.array([z]), ks, cfg, ray_angles, radius_factor)
+        np.array([x]), np.array([y]), np.array([z]), ks, cfg)
     n = int(panels[0])
     results = tuple(EvalResult(complex(v), float(e), n)
                     for v, e in zip(values[0], estimates[0]))
@@ -311,18 +310,11 @@ def _integrate(x: float, y: float, z: float, ks, cfg: QuadratureConfig,
     return results
 
 
-def eval_q(p: Params, cfg: QuadratureConfig | None = None, *,
-           ray_angles=DEFAULT_RAY_ANGLES, radius_factor: float = 1.0) -> EvalResult:
-    """Evaluate Q(x, y, z) by deformed-contour quadrature.
-
-    ``ray_angles`` and ``radius_factor`` exist for validation: perturbing the
-    rays within the decay sectors or doubling the truncation radius must not
-    change the value beyond the reported estimates.
-    """
+def eval_q(p: Params, cfg: QuadratureConfig | None = None) -> EvalResult:
+    """Evaluate Q(x, y, z) by deformed-contour quadrature."""
     if p.form is not Form.Q:
         raise ValueError("eval_q expects form=Q parameters; use eval_s or s_to_q")
-    return _integrate(p.x, p.y, p.z, (0,), cfg or QuadratureConfig(),
-                      ray_angles, radius_factor)[0]
+    return _integrate(p.x, p.y, p.z, (0,), cfg or QuadratureConfig())[0]
 
 
 def eval_s(p: Params, cfg: QuadratureConfig | None = None) -> EvalResult:

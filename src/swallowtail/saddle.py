@@ -250,14 +250,14 @@ def _nearest_valley(angle: float) -> int:
 
 
 def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
-                   step: float = 0.01, cutoff_radius: float = 8.0,
-                   level_tol: float = 1e-10, max_steps: int = 40000) -> SteepestPath:
+                   step: float = 0.01, cutoff_radius: float = 8.0) -> SteepestPath:
     """Trace one descending constant-phase branch leaving saddle k.
 
     Predictor: Euler step along the local tangent i*conj(f'). Corrector:
     1D Newton transverse to the tangent, restoring Re(f - f(t_k)) = 0.
     The step is halved whenever the corrector fails or descent-monotonicity
-    breaks; running out of step length signals a saddle collision.
+    breaks; running out of step length signals a saddle collision, and a
+    trace still inside the cutoff after 40 000 steps raises ``PathStalled``.
 
     Complex-conjugate saddles share Re f, so a branch leaving one of them can
     run through its partner: for z > 0 the left branch of saddle 3 passes
@@ -267,20 +267,16 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     trace ends in one of the partner's valleys; when a step lands on the
     partner, the trace raises ``PathStalled``, which is then the right answer.
 
-    Raises ``ValueError`` for k outside 0..3, a step, cutoff radius or level
-    tolerance that is not finite and positive, a cutoff radius inside |t_k|,
-    or max_steps < 1.
+    Raises ``ValueError`` for k outside 0..3, a step or cutoff radius that
+    is not finite and positive, or a cutoff radius inside |t_k|.
     """
     if not isinstance(direction, Direction):
         direction = Direction(direction)
     if k not in range(4):
         raise ValueError(f"saddle index must be 0..3, got {k!r}")
-    for name, value in (("step", step), ("cutoff_radius", cutoff_radius),
-                        ("level_tol", level_tol)):
+    for name, value in (("step", step), ("cutoff_radius", cutoff_radius)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
     sset = saddles(sp)
     t0 = sset.roots[k]
     if cutoff_radius <= abs(t0):
@@ -304,8 +300,8 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     alpha = right if direction is Direction.RIGHT else left
 
     # f and f' are spelled exactly as in phase() and phase_derivative(), whose
-    # rounding the path keeps; 12 iterates at level_tol, a last check at 10x
-    level_tols = (level_tol,) * 12 + (10.0 * level_tol,)
+    # rounding the path keeps; 12 iterates at 1e-10, a last check at 10x
+    level_tols = (1e-10,) * 12 + (1e-9,)
 
     def correct(t: complex):
         """(t, height) back on Re(f - f0) = 0, or None; height = Re i(f - f0)."""
@@ -332,7 +328,7 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     good_streak = 0
     while abs(t) < cutoff_radius:
         steps += 1
-        if steps > max_steps:
+        if steps > 40000:
             raise PathStalled("step budget exhausted before reaching the cutoff radius")
         fp = t ** 4 + gamma * t + sigma
         if abs(fp) < 1e-13:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import Branch, ZeroPrediction, axis_envelope, predicted_zeros
-from .errors import NoConvergence, SeedOutOfRange
+from .errors import NoConvergence, SeedOutOfRange, ToleranceNotReached
 from .oracle import QuadratureConfig, _integrate, _integrate_points
 from .oracle import eval_q  # noqa: F401  (zeros.eval_q stays importable for code that wraps it)
 from .params import Form
@@ -163,8 +163,9 @@ def axis_confinement_scan(y0: float, branch: Branch, m: int,
     """Run 2D Newton on (Re Q, Im Q) seeded off-axis at a predicted zero.
 
     Non-convergence is data, not an error: the record carries where the
-    iteration ended and the modulus there.  A non-finite ``y0`` raises
-    ``ValueError``.
+    iteration ended and the modulus there.  A trial point where the
+    quadrature misses its tolerance ends the run at the last accepted
+    iterate.  A non-finite ``y0`` raises ``ValueError``.
     """
     if not math.isfinite(y0):
         raise ValueError(f"y0 must be finite, got {y0!r}")
@@ -192,13 +193,16 @@ def axis_confinement_scan(y0: float, branch: Branch, m: int,
             break
         scale = 1.0
         y_new, z_new = y + delta[0], z + delta[1]
-        q_new, f_new, jac_new = _q_and_jacobian(y_new, z_new, quad)
-        for _ in range(cfg.max_backtracks):
-            if abs(q_new) < abs(q):
-                break
-            scale *= 0.5
-            y_new, z_new = y + scale * delta[0], z + scale * delta[1]
+        try:
             q_new, f_new, jac_new = _q_and_jacobian(y_new, z_new, quad)
+            for _ in range(cfg.max_backtracks):
+                if abs(q_new) < abs(q):
+                    break
+                scale *= 0.5
+                y_new, z_new = y + scale * delta[0], z + scale * delta[1]
+                q_new, f_new, jac_new = _q_and_jacobian(y_new, z_new, quad)
+        except ToleranceNotReached:
+            break                       # a trial point the quadrature cannot evaluate
         y, z, q, f, jac = y_new, z_new, q_new, f_new, jac_new
         if abs(y) > _DIVERGENCE_Y or abs(z) > _DIVERGENCE_Z:
             return AxisConfinementRecord(y0, seed_z, False, y, z, abs(q), it + 1)

@@ -101,6 +101,12 @@ def test_zeros_confine(capsys):
     assert abs(env["results"]["final_y"]) < 1e-6
 
 
+def test_zeros_confine_quadrature_miss_is_data(capsys):
+    env = run_json(capsys, ["zeros", "confine", "--y0", "5", "--branch", "pos", "--m", "0"])
+    assert env["results"]["converged"] is False
+    assert env["results"]["iterations"] == 0
+
+
 def test_newton_envelopes_echo_full_configuration(capsys):
     quad, newton = QuadratureConfig(), RefineConfig()
     for argv in (["zeros", "refine", "--branch", "neg", "--m", "0"],

@@ -89,19 +89,28 @@ def test_realness_on_y_zero_random(rng, cfg_fast):
         assert abs(r.value.imag) <= 2.0 * r.abs_error_estimate
 
 
+def _kernel_at(x, y, z, cfg, **controls):
+    """Value, estimate and success flag of the kernel's k = 0 result at one point."""
+    values, estimates, _, ok = _integrate_points(
+        np.array([x]), np.array([y]), np.array([z]), (0,), cfg, **controls)
+    return values[0, 0], estimates[0, 0], ok[0]
+
+
 def test_contour_independence(cfg):
     angles = (0.88 * math.pi, 0.12 * math.pi)
     for (x, y, z) in [(0.0, 0.0, 0.0), (0.5, 1.0, -2.0), (0.0, 2.0, 3.0)]:
         a = eval_q(Params(x, y, z), cfg)
-        b = eval_q(Params(x, y, z), cfg, ray_angles=angles)
-        assert abs(a.value - b.value) <= a.abs_error_estimate + b.abs_error_estimate
+        b, b_err, ok = _kernel_at(x, y, z, cfg, ray_angles=angles)
+        assert ok
+        assert abs(a.value - b) <= a.abs_error_estimate + b_err
 
 
 def test_truncation_soundness(cfg):
     for (x, y, z) in [(0.0, 0.0, 0.0), (1.0, -1.0, 2.0), (0.0, 1.5, -3.0)]:
         a = eval_q(Params(x, y, z), cfg)
-        b = eval_q(Params(x, y, z), cfg, radius_factor=2.0)
-        assert abs(a.value - b.value) < cfg.target_abs_tol
+        b, _, ok = _kernel_at(x, y, z, cfg, radius_factor=2.0)
+        assert ok
+        assert abs(a.value - b) < cfg.target_abs_tol
 
 
 def test_moment_closed_forms_at_origin(cfg):
@@ -215,9 +224,14 @@ def test_form_mismatch_rejected():
 def test_bad_ray_angles_rejected(cfg):
     # pi/4 sits in a growth sector; pi/5 is a sector boundary
     with pytest.raises(ValueError):
-        eval_q(Params(0.0, 0.0, 0.0), cfg, ray_angles=(math.pi / 4.0, math.pi / 10.0))
+        _kernel_at(0.0, 0.0, 0.0, cfg, ray_angles=(math.pi / 4.0, math.pi / 10.0))
     with pytest.raises(ValueError):
-        eval_q(Params(0.0, 0.0, 0.0), cfg, ray_angles=(9 * math.pi / 10.0, math.pi / 5.0))
+        _kernel_at(0.0, 0.0, 0.0, cfg, ray_angles=(9 * math.pi / 10.0, math.pi / 5.0))
+
+
+def test_short_truncation_radius_rejected(cfg):
+    with pytest.raises(ValueError, match="radius_factor"):
+        _kernel_at(0.0, 0.0, 0.0, cfg, radius_factor=0.5)
 
 
 def test_estimates_bound_actual_error_on_axis(cfg):

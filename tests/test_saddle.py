@@ -239,8 +239,6 @@ def test_trace_rejects_saddle_index_out_of_range(k):
     ("step", 0.0), ("step", -0.01), ("step", math.nan), ("step", math.inf),
     ("cutoff_radius", 0.0), ("cutoff_radius", math.nan), ("cutoff_radius", math.inf),
     ("cutoff_radius", 0.5),              # inside |t_0| = 1
-    ("level_tol", 0.0), ("level_tol", -1e-10), ("level_tol", math.nan),
-    ("max_steps", 0),
 ])
 def test_trace_rejects_bad_controls(name, value):
     with pytest.raises(ValueError, match=name):
