@@ -229,8 +229,8 @@ def below_caustic_obstruction(sp: ScaledParams) -> ObstructionReport:
     sigma = 0.8 * sp.sign_z.value
     f1 = 0.3 * sp.gamma * t1 * t1 + sigma * t1   # reduced phase at a real saddle
     f2 = 0.3 * sp.gamma * t2 * t2 + sigma * t2
-    fpp1 = 4.0 * t1 ** 3 + sp.gamma
-    fpp2 = 4.0 * t2 ** 3 + sp.gamma
+    fpp1 = phase_second_derivative(t1, sp.gamma)
+    fpp2 = phase_second_derivative(t2, sp.gamma)
     phase_sum = f1 + f2
     curvature_sum = fpp1 + fpp2
     scale = max(1.0, abs(f1), abs(f2))

@@ -28,6 +28,7 @@ from .errors import (
 from .oracle import QuadratureConfig, eval_q, eval_s
 from .params import Form, Params
 from .saddle import (
+    VALLEY_ANGLES,
     Direction,
     ScaledParams,
     caustic_gamma,
@@ -152,7 +153,7 @@ def cmd_trace(args) -> int:
         "saddle_index": path.saddle_index,
         "direction": args.direction,
         "terminal_sector": path.terminal_sector,
-        "terminal_angle": math.pi / 10.0 + 2.0 * math.pi * path.terminal_sector / 5.0,
+        "terminal_angle": VALLEY_ANGLES[path.terminal_sector],
         "points": path.to_polyline(),
     })
     return 0

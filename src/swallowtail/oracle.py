@@ -10,10 +10,10 @@ truncation radius with a certified tail bound (the positive root of two
 quintics, found by Newton steps from a closed-form upper bound), and an
 adaptive Gauss-Kronrod rule on each truncated ray.
 
-One kernel, ``_integrate_points``, does all the quadrature.  It takes N
-points at once: each (point, ray) pair is a group of panels in one node
-array, refined by worst-first bisection within its own budget, and panels
-are evaluated 256 at a time, so a grid scan passes a block of cells per
+One kernel, ``_integrate_points``, does all the quadrature.  It takes any
+number of points and sizes its own passes over them: in a pass each (point,
+ray) pair is a group of panels in one node array, refined by worst-first
+bisection within its own budget, so a grid scan passes all its cells in one
 call and a point's result does not depend on its neighbours.
 ``_integrate`` is its one-point form.  The kernel integrates t^k times the
 same exponential for several k at once; these moments feed the parameter
@@ -78,6 +78,9 @@ _EIGHTHS = np.arange(9) / 8.0
 # stays below numpy's 256 KiB threshold for reusing a temporary in place, where
 # its complex multiply rounds differently and a result would depend on its batch.
 _PANEL_BLOCK = 256
+# Points per kernel pass: a pass's panel arrays and sort table grow with its
+# points, and its set-up cost stays small against the quadrature.
+_POINT_PASS = 512
 
 
 @dataclass(frozen=True)
@@ -207,15 +210,15 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig,
                       ray_angles=DEFAULT_RAY_ANGLES, radius_factor: float = 1.0):
     """Integrate t^k exp[i(t^5/5 + x t^3/3 + y t^2/2 + z t)] at N points.
 
-    ``x``, ``y``, ``z`` are equal-length arrays.  Every (point, ray) pair is
-    a group of panels in one (panels x 15) node array, and exp(i*phase) is
-    computed once per node for all k in ``ks``.  Each round, every group
-    whose estimate (worst k) exceeds its budget bisects its largest-error
-    panels until the errors they carry cover the excess, within its own
-    ``max_subdivisions``.  Groups never read each other's panels, and
-    panels are evaluated ``_PANEL_BLOCK`` at a time, so a point's result
-    does not depend on the other points in the batch: a grid scan passes a
-    block of cells per call.
+    ``x``, ``y``, ``z`` are equal-length arrays of any length; the kernel
+    takes them in passes of at most ``_POINT_PASS``, in order.  In a pass
+    every (point, ray) pair is a group of panels in one (panels x 15) node
+    array, and exp(i*phase) is computed once per node for all k in ``ks``.
+    Each round, every group whose estimate (worst k) exceeds its budget
+    bisects its largest-error panels until the errors they carry cover the
+    excess, within its own ``max_subdivisions``.  Groups never read each
+    other's panels, and panels are evaluated ``_PANEL_BLOCK`` at a time, so
+    a point's result does not depend on the other points in the call.
 
     ``ray_angles`` and ``radius_factor`` exist for validation: perturbing the
     rays within the decay sectors or enlarging the truncation radius must not
@@ -224,6 +227,14 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig,
     Returns per point: values and estimates (both N x len(ks)), the panel
     count and whether both rays met their budget.
     """
+    passes = [_integrate_pass(x[i:i + _POINT_PASS], y[i:i + _POINT_PASS], z[i:i + _POINT_PASS],
+                              ks, cfg, ray_angles, radius_factor)
+              for i in range(0, x.size, _POINT_PASS)]
+    return tuple(np.concatenate(columns) for columns in zip(*passes))
+
+
+def _integrate_pass(x, y, z, ks, cfg, ray_angles, radius_factor):
+    """``_integrate_points`` on one pass of at most ``_POINT_PASS`` points."""
     theta_in, theta_out = ray_angles
     sin5 = min(math.sin(5.0 * theta_in), math.sin(5.0 * theta_out))
     if sin5 <= 1e-6:

@@ -25,10 +25,6 @@ from .params import Form
 # Beyond these bounds a 2D Newton iterate is recorded as divergent.
 _DIVERGENCE_Y = 10.0
 _DIVERGENCE_Z = 14.0
-# Grid cells per kernel call in modulus_scan: enough that per-call set-up is
-# small against the quadrature, few enough that the kernel's per-panel arrays
-# stay small.
-_SCAN_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -94,6 +90,19 @@ def _q_axis(z: float, cfg: QuadratureConfig):
     return q.value.real, (1j * m1.value).real
 
 
+def _line_search(evaluate, x, step, residual: float, max_backtracks: int):
+    """Evaluate at x + step, halving the step up to ``max_backtracks`` times
+    while |Q| there does not drop below ``residual``.  ``x`` is a scalar z
+    or an array (y, z), and ``evaluate`` returns a tuple that starts with Q.
+    Halving is exact.  Returns the last trial point and its evaluation."""
+    for n in range(max_backtracks + 1):
+        trial = x + step * 0.5 ** n
+        result = evaluate(trial)
+        if abs(result[0]) < residual:
+            break
+    return trial, result
+
+
 def refine_on_axis(seed: ZeroPrediction, cfg: RefineConfig | None = None) -> RefinedZero:
     """Damped Newton from a predicted zero to a certified one.
 
@@ -122,16 +131,8 @@ def refine_on_axis(seed: ZeroPrediction, cfg: RefineConfig | None = None) -> Ref
             break
         if gp == 0.0 or not math.isfinite(gp):
             raise NoConvergence(f"vanishing derivative at z = {z:.6f}")
-        step = -g / gp
-        z_new = z + step
-        g_new, gp_new = _q_axis(z_new, quad)
-        for _ in range(cfg.max_backtracks):
-            if abs(g_new) < abs(g):
-                break
-            step *= 0.5
-            z_new = z + step
-            g_new, gp_new = _q_axis(z_new, quad)
-        z, g, gp = z_new, g_new, gp_new
+        z, (g, gp) = _line_search(lambda t: _q_axis(t, quad), z, -g / gp, abs(g),
+                                  cfg.max_backtracks)
     raise NoConvergence(
         f"residual {abs(g):.3e} after {cfg.max_iterations} iterations from seed "
         f"{seed.z_predicted:.6f}")
@@ -172,8 +173,8 @@ def axis_confinement_scan(y0: float, branch: Branch, m: int,
     cfg = cfg or RefineConfig()
     seed_z = predicted_zeros(branch, m)[m].z_predicted
     quad = cfg.quadrature
-    y, z = float(y0), seed_z
-    q, f, jac = _q_and_jacobian(y, z, quad)
+    point = np.array([y0, seed_z])      # (y, z)
+    q, f, jac = _q_and_jacobian(*point, quad)
     for it in range(cfg.max_iterations + 1):
         converged = abs(q) < cfg.residual_tol
         if it == cfg.max_iterations and not converged:
@@ -187,26 +188,18 @@ def axis_confinement_scan(y0: float, branch: Branch, m: int,
         if converged:
             # one extra Newton step once converged; quadratic contraction pulls
             # final_y to rounding level instead of leaving it at ~sqrt(tol)
-            q2, _, _ = _q_and_jacobian(y + delta[0], z + delta[1], quad)
+            q2, _, _ = _q_and_jacobian(*(point + delta), quad)
             if abs(q2) <= abs(q):
-                y, z, q = y + delta[0], z + delta[1], q2
+                point, q = point + delta, q2
             break
-        scale = 1.0
-        y_new, z_new = y + delta[0], z + delta[1]
         try:
-            q_new, f_new, jac_new = _q_and_jacobian(y_new, z_new, quad)
-            for _ in range(cfg.max_backtracks):
-                if abs(q_new) < abs(q):
-                    break
-                scale *= 0.5
-                y_new, z_new = y + scale * delta[0], z + scale * delta[1]
-                q_new, f_new, jac_new = _q_and_jacobian(y_new, z_new, quad)
+            point, (q, f, jac) = _line_search(lambda p: _q_and_jacobian(*p, quad), point,
+                                              delta, abs(q), cfg.max_backtracks)
         except ToleranceNotReached:
             break                       # a trial point the quadrature cannot evaluate
-        y, z, q, f, jac = y_new, z_new, q_new, f_new, jac_new
-        if abs(y) > _DIVERGENCE_Y or abs(z) > _DIVERGENCE_Z:
-            return AxisConfinementRecord(y0, seed_z, False, y, z, abs(q), it + 1)
-    return AxisConfinementRecord(y0, seed_z, converged, y, z, abs(q), it)
+        if abs(point[0]) > _DIVERGENCE_Y or abs(point[1]) > _DIVERGENCE_Z:
+            return AxisConfinementRecord(y0, seed_z, False, *point.tolist(), abs(q), it + 1)
+    return AxisConfinementRecord(y0, seed_z, converged, *point.tolist(), abs(q), it)
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,11 +251,11 @@ class ScanGrid:
 
 def modulus_scan(y_range, z_range, ny: int, nz: int,
                  cfg: QuadratureConfig | None = None) -> ScanGrid:
-    """Evaluate |Q(0, y, z)| on a regular grid, one kernel call per block of
-    up to 512 cells in row-major order.
+    """Evaluate |Q(0, y, z)| on a regular grid in one kernel call, which
+    sizes its own passes over the cells in row-major order.
 
     Cells where the quadrature budget runs out are flagged 'tol_miss' and
-    keep their best-effort value; the other cells of the block are unaffected.
+    keep their best-effort value; the other cells are unaffected.
     """
     if not all(math.isfinite(v) for v in (*y_range, *z_range)):
         raise ValueError("scan ranges must be finite")
@@ -276,12 +269,6 @@ def modulus_scan(y_range, z_range, ny: int, nz: int,
     ys = np.linspace(y_range[0], y_range[1], ny)
     zs = np.linspace(z_range[0], z_range[1], nz)
     y_cells, z_cells = np.repeat(ys, nz), np.tile(zs, ny)
-    abs_q = np.empty(ny * nz)
-    ok = np.empty(ny * nz, dtype=bool)
-    for i in range(0, ny * nz, _SCAN_BLOCK):
-        s = slice(i, i + _SCAN_BLOCK)
-        values, _, _, ok[s] = _integrate_points(
-            np.zeros_like(y_cells[s]), y_cells[s], z_cells[s], (0,), cfg)
-        abs_q[s] = np.abs(values[:, 0])
-    return ScanGrid(ys, zs, abs_q.reshape(ny, nz),
+    values, _, _, ok = _integrate_points(np.zeros_like(y_cells), y_cells, z_cells, (0,), cfg)
+    return ScanGrid(ys, zs, np.abs(values[:, 0]).reshape(ny, nz),
                     np.where(ok, "ok", "tol_miss").reshape(ny, nz))

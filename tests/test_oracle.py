@@ -16,6 +16,7 @@ from swallowtail import (
 )
 from swallowtail.oracle import (
     DEFAULT_RAY_ANGLES,
+    _POINT_PASS,
     _integrate,
     _integrate_points,
     _truncation_radius,
@@ -293,6 +294,15 @@ def test_batched_moments_match_single_points():
         one = _integrate_points(x[i:i + 1], y[i:i + 1], z[i:i + 1], (0, 1, 2), cfg)
         assert (one[0][0] == values[i]).all() and (one[1][0] == estimates[i]).all()
         assert one[2][0] == panels[i] and one[3][0] == ok[i]
+    # behind 280 other points the same 320 straddle the kernel's first pass
+    # boundary, and each keeps its result bit for bit
+    x2, y2 = rng.uniform(-2.0, 2.0, 280), rng.uniform(-3.0, 3.0, 280)
+    z2 = rng.uniform(-24.0, 16.0, 280)
+    longer = _integrate_points(np.concatenate((x2, x)), np.concatenate((y2, y)),
+                               np.concatenate((z2, z)), (0, 1, 2), cfg)
+    assert 280 < _POINT_PASS < 600
+    for got, want in zip(longer, (values, estimates, panels, ok)):
+        assert (got[280:] == want).all()
 
 
 def _reference_radius(x, y, z, k, log_target, sin5):

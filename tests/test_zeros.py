@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -23,6 +24,7 @@ from swallowtail import (
     predicted_zeros,
     refine_on_axis,
 )
+import swallowtail.oracle as oracle
 import swallowtail.zeros as zeros
 from swallowtail.zeros import AxisConfinementRecord, RefinedZero, ScanGrid
 from swallowtail.oracle import _integrate, _integrate_points
@@ -143,6 +145,14 @@ def test_confinement_axis_is_exactly_invariant():
     rec = axis_confinement_scan(0.0, Branch.POSITIVE_Z, 0)
     assert rec.converged
     assert rec.final_y == 0.0
+
+
+@pytest.mark.parametrize("y0", [0.3, 0.0])
+def test_confinement_coordinates_are_plain_floats(y0):
+    # after Newton steps as at the seed, the record holds Python floats
+    rec = axis_confinement_scan(y0, Branch.POSITIVE_Z, 0)
+    assert rec.iterations > 0
+    assert type(rec.final_y) is float and type(rec.final_z) is float
 
 
 @pytest.mark.parametrize("y0", [math.nan, math.inf, -math.inf])
@@ -293,23 +303,32 @@ def test_scan_rejects_non_finite_ranges(y_range, z_range):
         modulus_scan(y_range, z_range, 3, 3)
 
 
-def test_scan_makes_one_kernel_call_per_block(monkeypatch, cfg_fast):
-    calls = []
+def test_scan_makes_one_kernel_call_in_passes(monkeypatch, cfg_fast):
+    # the scan hands every cell to one kernel call, and the kernel splits
+    # them into passes of at most 512 points in row-major order
+    calls, passes = [], []
+    integrate_pass = oracle._integrate_pass
 
     def counting(x, y, z, ks, cfg):
         calls.append(x.size)
         return _integrate_points(x, y, z, ks, cfg)
 
+    def pass_counting(x, *args):
+        passes.append(x.size)
+        return integrate_pass(x, *args)
+
     monkeypatch.setattr(zeros, "_integrate_points", counting)
+    monkeypatch.setattr(oracle, "_integrate_pass", pass_counting)
     modulus_scan((0.0, 1.0), (-6.0, 6.0), 20, 20, cfg_fast)
-    assert calls == [400]
+    assert calls == [400] and passes == [400]
     calls.clear()
+    passes.clear()
     modulus_scan((0.0, 1.0), (-6.0, 6.0), 40, 40, cfg_fast)
-    assert calls == [512, 512, 512, 64]
+    assert calls == [1600] and passes == [512, 512, 512, 64]
 
 
 def test_scan_blocks_change_no_cell():
-    # a 40 x 40 scan spans four point blocks and many 256-panel slices; each
+    # a 40 x 40 scan spans four kernel passes and many 256-panel slices; each
     # sampled cell, a tolerance miss among them, equals its one-point result
     cfg = QuadratureConfig(target_abs_tol=1e-8, max_subdivisions=20)
     grid = modulus_scan((0.0, 3.0), (-24.0, 16.0), 40, 40, cfg)
@@ -327,8 +346,8 @@ def test_scan_blocks_change_no_cell():
 
 
 def test_scan_memory_stays_bounded():
-    # the kernel slices its panels, so a grid much larger than one point
-    # block still keeps every temporary small
+    # the kernel takes its points in passes and slices its panels, so a grid
+    # much larger than one pass still keeps every temporary small
     cfg = QuadratureConfig(target_abs_tol=1e-8)
     tracemalloc.start()
     try:
@@ -467,6 +486,14 @@ def _reference_confine(y0, branch, m, cfg):
     return AxisConfinementRecord(y0, seed_z, converged, y, z, abs(q), it)
 
 
+def _float_coordinates(y0, branch, m, cfg):
+    """``_reference_confine``'s record with final_y and final_z as Python
+    floats (the reference leaves them np.float64 after a step); same bits."""
+    record = _reference_confine(y0, branch, m, cfg)
+    return dataclasses.replace(record, final_y=float(record.final_y),
+                               final_z=float(record.final_z))
+
+
 def _outcome(calls, run, *args):
     """A run's record (with its repr, so types and bits count) or exception,
     plus the points it evaluated, in order."""
@@ -504,7 +531,7 @@ def test_newton_loops_match_reference(monkeypatch):
                 for max_iterations in (1, 4, 25):
                     cfg = RefineConfig(max_iterations=max_iterations)
                     got = _outcome(calls, axis_confinement_scan, y0, branch, m, cfg)
-                    want = _outcome(calls, _reference_confine, y0, branch, m, cfg)
+                    want = _outcome(calls, _float_coordinates, y0, branch, m, cfg)
                     if want[0][0] is ToleranceNotReached:
                         # where the reference raises, the run is now a
                         # non-converged record after the same evaluations
