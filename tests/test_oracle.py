@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from swallowtail import (
 from swallowtail.oracle import (
     DEFAULT_RAY_ANGLES,
     _POINT_PASS,
+    _RADIUS_BATCH,
+    _cexp,
     _integrate,
     _integrate_points,
+    _truncation_radii,
     _truncation_radius,
 )
 from conftest import q_axis_series
@@ -235,6 +239,24 @@ def test_short_truncation_radius_rejected(cfg):
         _kernel_at(0.0, 0.0, 0.0, cfg, radius_factor=0.5)
 
 
+def test_no_points_give_four_empty_outputs(cfg):
+    values, estimates, panels, ok = _integrate_points(
+        np.array([]), np.array([]), np.array([]), (0, 1), cfg)
+    assert values.shape == estimates.shape == (0, 2)
+    assert panels.shape == ok.shape == (0,)
+    assert values.dtype == complex and estimates.dtype == float
+    assert panels.dtype.kind == "i" and ok.dtype == bool
+
+
+def test_no_points_still_validate_the_controls(cfg):
+    empty = np.array([])
+    with pytest.raises(ValueError, match="decay sectors"):
+        _integrate_points(empty, empty, empty, (0,), cfg,
+                          ray_angles=(math.pi / 4.0, math.pi / 10.0))
+    with pytest.raises(ValueError, match="radius_factor"):
+        _integrate_points(empty, empty, empty, (0,), cfg, radius_factor=0.5)
+
+
 def test_estimates_bound_actual_error_on_axis(cfg):
     # the series oracle gives the truth; the reported estimate must cover it
     for z in (0.5, -1.0, 3.2, -4.4):
@@ -342,3 +364,34 @@ def test_truncation_radius_matches_eigenvalue_form():
             assert gk >= log_target and slope >= 1
 
     check()
+
+
+def test_batched_radius_equals_scalar_radius():
+    # a pass's radii must not depend on how many points it holds, so the
+    # array form must give the scalar form's bits, Newton start included
+    rng = np.random.default_rng(20261018)
+    sin5 = math.sin(5.0 * DEFAULT_RAY_ANGLES[1])
+    n = 1000
+    for k in range(5):
+        for tol in (1e-14, 1e-11, 1e-8, 1e-3):
+            log_target = math.log(2.0 * 10.0 / tol)
+            x, y, z = rng.uniform(-1.0, 1.0, (3, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, n))
+            x[: n // 2] = 0.0
+            batched = _truncation_radii(x, y, z, k, log_target, sin5)
+            scalar = [_truncation_radius(a, b, c, k, log_target, sin5)
+                      for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())]
+            assert n >= _RADIUS_BATCH
+            assert batched.tolist() == scalar
+
+
+def test_half_angle_exp_matches_numpy():
+    rng = np.random.default_rng(20261018)
+    a = rng.uniform(-100.0, 10.0, 20000)
+    b = rng.uniform(-200.0, 200.0, 20000)
+    # where tan(b/2) is largest: within 1e-12 of odd multiples of pi
+    b[:2000] = (2 * rng.integers(-32, 32, 2000) + 1) * math.pi + rng.uniform(-1e-12, 1e-12, 2000)
+    w = a + 1j * b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _cexp(w)
+    assert (np.abs(got - np.exp(w)) <= 4.0 * np.finfo(float).eps * np.exp(a)).all()
