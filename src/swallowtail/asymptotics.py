@@ -28,6 +28,7 @@ from .saddle import (
     ZSign,
     phase_at_saddle,
     phase_second_derivative,
+    reduced_phase,
     saddles,
 )
 
@@ -226,9 +227,8 @@ def below_caustic_obstruction(sp: ScaledParams) -> ObstructionReport:
     if sset.regime is not Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR:
         raise RegimeError("obstruction report requires the real-pair regime")
     t1, t2 = sset.real_roots()
-    sigma = 0.8 * sp.sign_z.value
-    f1 = 0.3 * sp.gamma * t1 * t1 + sigma * t1   # reduced phase at a real saddle
-    f2 = 0.3 * sp.gamma * t2 * t2 + sigma * t2
+    f1 = reduced_phase(t1, sp.gamma, sp.sign_z)
+    f2 = reduced_phase(t2, sp.gamma, sp.sign_z)
     fpp1 = phase_second_derivative(t1, sp.gamma)
     fpp2 = phase_second_derivative(t2, sp.gamma)
     phase_sum = f1 + f2

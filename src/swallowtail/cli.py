@@ -174,6 +174,8 @@ def cmd_zeros_predict(args) -> int:
 
 
 def cmd_zeros_refine(args) -> int:
+    if not math.isfinite(args.max_abs_z):   # the echo must stay RFC 8259 JSON
+        raise ValueError(f"--max-abs-z must be finite, got {args.max_abs_z!r}")
     cfg = RefineConfig(
         residual_tol=args.residual_tol,
         residual_mode=args.residual_mode,

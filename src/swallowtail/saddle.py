@@ -180,59 +180,51 @@ def saddles(sp: ScaledParams) -> SaddleSet:
     """Solve f'(t) = 0, classify the configuration and label the roots."""
     sigma = sp.sign_z.value
     raw = _polish(np.roots([1.0, 0.0, 0.0, sp.gamma, sigma]), sp.gamma, sigma)
-
-    scale_ = np.maximum(1.0, np.abs(raw))
-    real_mask = np.abs(raw.imag) <= _PAIR_TOL * scale_
-    n_real = int(real_mask.sum())
-    nan = float("nan")
-
-    if n_real == 0:
-        upper = sorted((complex(r) for r in raw if r.imag > 0), key=lambda r: -r.real)
-        lower = sorted((complex(r) for r in raw if r.imag < 0), key=lambda r: -r.real)
-        if len(upper) != 2 or len(lower) != 2:
-            return _degenerate_set(raw)
-        right_up, left_up = upper
-        right_dn, left_dn = lower
-        if (abs(right_up - right_dn.conjugate()) > _PAIR_TOL * max(1.0, abs(right_up))
-                or abs(left_up - left_dn.conjugate()) > _PAIR_TOL * max(1.0, abs(left_up))):
-            return _degenerate_set(raw)
-        if abs(right_up.real - left_up.real) <= _PAIR_TOL:
+    is_real = np.abs(raw.imag) <= _PAIR_TOL * np.maximum(1.0, np.abs(raw))
+    reals = [complex(r) for r in sorted(raw.real[is_real].tolist(), reverse=True)]
+    cpx = raw[~is_real].tolist()
+    upper = sorted((r for r in cpx if r.imag > 0), key=lambda r: -r.real)
+    lower = sorted((r for r in cpx if r.imag < 0), key=lambda r: -r.real)
+    if ((len(reals), len(upper), len(lower)) not in ((0, 2, 2), (2, 1, 1))
+            or any(abs(u - d.conjugate()) > _PAIR_TOL * max(1.0, abs(u))
+                   for u, d in zip(upper, lower))):
+        return _degenerate_set(raw)
+    if not reals:
+        right, left = upper
+        if abs(right.real - left.real) <= _PAIR_TOL:
             return _degenerate_set(raw)   # pairs collapsing onto one vertical line
-        p = right_up.real
-        q1 = abs(right_up.imag)
-        q2 = abs(left_up.imag)
-        roots = (right_up, left_up, left_up.conjugate(), right_up.conjugate())
-        return SaddleSet(roots, Regime.TWO_CONJUGATE_PAIRS, p, q1, q2)
+        roots = (right, left, left.conjugate(), right.conjugate())
+        return SaddleSet(roots, Regime.TWO_CONJUGATE_PAIRS, right.real, right.imag, left.imag)
+    (r_hi, r_lo), (up,), (dn,) = reals, upper, lower
+    if abs(r_hi - r_lo) <= 1e-6 * max(1.0, abs(r_hi)):
+        return _degenerate_set(raw)       # collided real pair: on the caustic
+    roots = (r_hi, up, r_lo, dn) if sp.sign_z is ZSign.NEGATIVE else (up, r_hi, r_lo, dn)
+    nan = float("nan")
+    return SaddleSet(roots, Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR, nan, nan, nan)
 
-    if n_real == 2:
-        reals = np.sort(raw.real[real_mask])
-        r_lo, r_hi = float(reals[0]), float(reals[1])
-        if abs(r_hi - r_lo) <= 1e-6 * max(1.0, abs(r_hi)):
-            return _degenerate_set(raw)   # collided real pair: on the caustic
-        cpx = [complex(r) for r in raw[~real_mask]]
-        up = next((r for r in cpx if r.imag > 0), None)
-        dn = next((r for r in cpx if r.imag < 0), None)
-        if up is None or dn is None or abs(up - dn.conjugate()) > _PAIR_TOL * max(1.0, abs(up)):
-            return _degenerate_set(raw)
-        if sp.sign_z is ZSign.NEGATIVE:
-            roots = (complex(r_hi), up, complex(r_lo), dn)
-        else:
-            roots = (up, complex(r_hi), complex(r_lo), dn)
-        return SaddleSet(roots, Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR, nan, nan, nan)
 
-    return _degenerate_set(raw)
+def _check_saddle_index(k) -> int:
+    """k as an int, or ``ValueError`` unless it is an integer 0..3 (not a bool)."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in range(4):
+        raise ValueError(f"saddle index must be an integer 0..3, got {k!r}")
+    return int(k)
+
+
+def reduced_phase(t, gamma: float, sign_z: ZSign):
+    """f(t) at a root t of f', where t^4 = -gamma t - sigma collapses f to
+    (3/10) gamma t^2 + sigma (4/5) t: stabler than raw fifth powers near the
+    caustic, and a float for real t."""
+    return 0.3 * gamma * t * t + sign_z.value * 0.8 * t
 
 
 def phase_at_saddle(sp: ScaledParams, k: int, saddle_set: SaddleSet | None = None) -> complex:
     """f(t_k) through the reduced form valid at roots of f'.
 
-    At a saddle t^4 = -gamma t - sigma, so f(t) collapses to
-    (3/10) gamma t^2 + sigma (4/5) t, which is numerically stabler than
-    raw fifth powers near the caustic.
+    Raises ``ValueError`` for k not an integer 0..3.
     """
+    k = _check_saddle_index(k)
     sset = saddle_set if saddle_set is not None else saddles(sp)
-    t = sset.roots[k]
-    return 0.3 * sp.gamma * t * t + sp.sign_z.value * 0.8 * t
+    return reduced_phase(sset.roots[k], sp.gamma, sp.sign_z)
 
 
 def _descent_angles(fpp: complex):
@@ -267,13 +259,12 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     trace ends in one of the partner's valleys; when a step lands on the
     partner, the trace raises ``PathStalled``, which is then the right answer.
 
-    Raises ``ValueError`` for k outside 0..3, a step or cutoff radius that
-    is not finite and positive, or a cutoff radius inside |t_k|.
+    Raises ``ValueError`` for k not an integer 0..3, a step or cutoff radius
+    that is not finite and positive, or a cutoff radius inside |t_k|.
     """
     if not isinstance(direction, Direction):
         direction = Direction(direction)
-    if k not in range(4):
-        raise ValueError(f"saddle index must be 0..3, got {k!r}")
+    k = _check_saddle_index(k)
     for name, value in (("step", step), ("cutoff_radius", cutoff_radius)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
@@ -293,11 +284,8 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
 
     a1, a2 = _descent_angles(fpp)
     c1 = math.cos(a1)
-    if abs(c1) > 1e-9:
-        right, left = (a1, a2) if c1 > 0 else (a2, a1)
-    else:
-        right, left = (a1, a2) if math.sin(a1) > 0 else (a2, a1)
-    alpha = right if direction is Direction.RIGHT else left
+    a1_right = c1 > 0 if abs(c1) > 1e-9 else math.sin(a1) > 0
+    alpha = a1 if a1_right == (direction is Direction.RIGHT) else a2
 
     # f and f' are spelled exactly as in phase() and phase_derivative(), whose
     # rounding the path keeps; 12 iterates at 1e-10, a last check at 10x

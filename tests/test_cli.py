@@ -26,10 +26,14 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
 def run_json(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 0, f"stderr: {err}"
-    envelope = json.loads(out)
+    envelope = json.loads(out, parse_constant=_reject_constant)
     validate_envelope(envelope)
     return envelope
 
@@ -226,11 +230,22 @@ def test_scan_non_finite_range_exit_2(capsys, tmp_path, y_range, z_range):
      "--modulus-tol", "nan"],
     ["zeros", "confine", "--y0", "nan", "--branch", "pos", "--m", "0"],
     ["zeros", "confine", "--y0", "inf", "--branch", "pos", "--m", "0"],
+    ["zeros", "refine", "--branch", "pos", "--m", "0", "--max-abs-z", "inf"],
 ])
 def test_bad_config_values_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == "" and "error" in err
+
+
+def test_infinite_max_abs_z_is_refused_by_name(capsys):
+    # RefineConfig accepts max_abs_z = inf, but the envelope would echo it as
+    # the non-JSON token Infinity
+    code, out, err = run_cli(capsys, ["zeros", "refine", "--branch", "neg", "--m", "0",
+                                      "--max-abs-z", "inf"])
+    assert code == 2 and out == ""
+    assert "--max-abs-z" in err and "finite" in err
+    assert RefineConfig(max_abs_z=math.inf).max_abs_z == math.inf
 
 
 def test_flag_defaults_are_the_library_defaults():

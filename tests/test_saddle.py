@@ -20,10 +20,14 @@ from swallowtail import (
     trace_steepest,
 )
 from swallowtail.saddle import (
+    _PAIR_TOL,
     VALLEY_ANGLES,
+    SaddleSet,
     SteepestPath,
+    _degenerate_set,
     _descent_angles,
     _nearest_valley,
+    _polish,
     phase,
     phase_derivative,
     phase_second_derivative,
@@ -135,6 +139,79 @@ def test_real_roots_accessor():
         saddles(ScaledParams(1.0, 0.0, ZSign.POSITIVE)).real_roots()
 
 
+def _reference_saddles(sp):
+    """``saddles`` as it was with one labelling block per regime, kept
+    verbatim (renamed) as the reference the labelled sets must equal bit for
+    bit."""
+    sigma = sp.sign_z.value
+    raw = _polish(np.roots([1.0, 0.0, 0.0, sp.gamma, sigma]), sp.gamma, sigma)
+
+    scale_ = np.maximum(1.0, np.abs(raw))
+    real_mask = np.abs(raw.imag) <= _PAIR_TOL * scale_
+    n_real = int(real_mask.sum())
+    nan = float("nan")
+
+    if n_real == 0:
+        upper = sorted((complex(r) for r in raw if r.imag > 0), key=lambda r: -r.real)
+        lower = sorted((complex(r) for r in raw if r.imag < 0), key=lambda r: -r.real)
+        if len(upper) != 2 or len(lower) != 2:
+            return _degenerate_set(raw)
+        right_up, left_up = upper
+        right_dn, left_dn = lower
+        if (abs(right_up - right_dn.conjugate()) > _PAIR_TOL * max(1.0, abs(right_up))
+                or abs(left_up - left_dn.conjugate()) > _PAIR_TOL * max(1.0, abs(left_up))):
+            return _degenerate_set(raw)
+        if abs(right_up.real - left_up.real) <= _PAIR_TOL:
+            return _degenerate_set(raw)   # pairs collapsing onto one vertical line
+        p = right_up.real
+        q1 = abs(right_up.imag)
+        q2 = abs(left_up.imag)
+        roots = (right_up, left_up, left_up.conjugate(), right_up.conjugate())
+        return SaddleSet(roots, Regime.TWO_CONJUGATE_PAIRS, p, q1, q2)
+
+    if n_real == 2:
+        reals = np.sort(raw.real[real_mask])
+        r_lo, r_hi = float(reals[0]), float(reals[1])
+        if abs(r_hi - r_lo) <= 1e-6 * max(1.0, abs(r_hi)):
+            return _degenerate_set(raw)   # collided real pair: on the caustic
+        cpx = [complex(r) for r in raw[~real_mask]]
+        up = next((r for r in cpx if r.imag > 0), None)
+        dn = next((r for r in cpx if r.imag < 0), None)
+        if up is None or dn is None or abs(up - dn.conjugate()) > _PAIR_TOL * max(1.0, abs(up)):
+            return _degenerate_set(raw)
+        if sp.sign_z is ZSign.NEGATIVE:
+            roots = (complex(r_hi), up, complex(r_lo), dn)
+        else:
+            roots = (up, complex(r_hi), complex(r_lo), dn)
+        return SaddleSet(roots, Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR, nan, nan, nan)
+
+    return _degenerate_set(raw)
+
+
+def _saddle_bits(sset):
+    """Everything a SaddleSet holds, in a form that tells -0.0 from 0.0 and
+    compares NaN equal to NaN."""
+    return ([(t.real.hex(), t.imag.hex()) for t in sset.roots], sset.regime,
+            repr(sset.p), repr(sset.q1), repr(sset.q2))
+
+
+def test_saddles_are_bit_identical_to_reference():
+    rng = np.random.default_rng(15)
+    c = caustic_gamma()
+    # z > 0 is degenerate from the caustic up to some 4000 ulps above it
+    ulps = [c + k * math.ulp(c) for k in range(-100, 300)]
+    gammas = [*rng.uniform(-6.0, 6.0, 250), *ulps, *(-g for g in ulps),
+              *(rng.choice((-1.0, 1.0), 200) * 10.0 ** rng.uniform(-300.0, 8.0, 200))]
+    degenerate = 0
+    for gamma in gammas:
+        for sign in ZSign:
+            sp = ScaledParams(1.0, float(gamma), sign)
+            got = saddles(sp)
+            assert _saddle_bits(got) == _saddle_bits(_reference_saddles(sp)), sp
+            degenerate += got.regime is Regime.DEGENERATE
+    assert degenerate >= 500
+
+
 # ---------------------------------------------------------------- phases
 
 
@@ -229,10 +306,24 @@ def test_trace_stalls_on_conjugate_saddle_connection():
     assert path.terminal_sector == 1
 
 
-@pytest.mark.parametrize("k", [-1, 4])
+@pytest.mark.parametrize("k", [-1, 4, 1.0, True])
 def test_trace_rejects_saddle_index_out_of_range(k):
     with pytest.raises(ValueError, match="saddle index"):
         trace_steepest(ScaledParams(1.0, 0.5, ZSign.NEGATIVE), k, Direction.LEFT)
+
+
+@pytest.mark.parametrize("k", [-1, 4, 1.0])
+def test_phase_at_saddle_rejects_saddle_index_out_of_range(k):
+    with pytest.raises(ValueError, match="saddle index"):
+        phase_at_saddle(ScaledParams(1.0, 0.5, ZSign.NEGATIVE), k)
+
+
+def test_saddle_index_may_be_a_numpy_integer():
+    sp = ScaledParams(1.0, 0.5, ZSign.NEGATIVE)
+    assert phase_at_saddle(sp, np.int64(2)) == phase_at_saddle(sp, 2)
+    path = trace_steepest(sp, np.int8(0), Direction.RIGHT)
+    assert path == trace_steepest(sp, 0, Direction.RIGHT)
+    assert type(path.saddle_index) is int
 
 
 @pytest.mark.parametrize("name,value", [
