@@ -49,7 +49,6 @@ from .saddle import (
     SteepestPath,
     ZSign,
     caustic_gamma,
-    classify_regime,
     phase_at_saddle,
     saddles,
     scale,

@@ -225,6 +225,12 @@ def cmd_scan(args) -> int:
     cfg = _quad_config(args)
     grid = modulus_scan(args.y_range, args.z_range, args.ny, args.nz, cfg)
     try:
+        ay, az = grid.argmin_cell()
+    except ValueError as exc:
+        # every cell is NaN or inf: a summary would be NaN, which is not JSON
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    try:
         if args.format == "csv":
             grid.to_csv(args.out)
         else:
@@ -232,7 +238,6 @@ def cmd_scan(args) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
-    ay, az = grid.argmin_cell()
     _emit("scan", {
         "y_range": list(args.y_range), "z_range": list(args.z_range),
         "ny": args.ny, "nz": args.nz, "out": args.out, "format": args.format,

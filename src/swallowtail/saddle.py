@@ -32,7 +32,6 @@ from .params import Form, Params
 VALLEY_ANGLES = tuple(math.pi / 10.0 + 2.0 * math.pi * k / 5.0 for k in range(5))
 
 _PAIR_TOL = 1e-9          # conjugate matching / real-root detection
-_CAUSTIC_BAND = 1e-9      # classification band around the caustic
 
 
 class ZSign(Enum):
@@ -146,18 +145,6 @@ def phase_second_derivative(t: complex, gamma: float) -> complex:
 def caustic_gamma() -> float:
     """Asymmetry value at which the z > 0 conjugate pairs collide."""
     return 4.0 * 3.0 ** -0.75
-
-
-def classify_regime(sp: ScaledParams) -> Regime:
-    """Regime by direct gamma comparison (cross-checked by root counting)."""
-    if sp.sign_z is ZSign.NEGATIVE:
-        return Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR
-    gap = abs(sp.gamma) - caustic_gamma()
-    if abs(gap) <= _CAUSTIC_BAND:
-        return Regime.DEGENERATE
-    if gap < 0.0:
-        return Regime.TWO_CONJUGATE_PAIRS
-    return Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR
 
 
 def _polish(roots: np.ndarray, gamma: float, sigma: float) -> np.ndarray:
@@ -287,21 +274,28 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     a1_right = c1 > 0 if abs(c1) > 1e-9 else math.sin(a1) > 0
     alpha = a1 if a1_right == (direction is Direction.RIGHT) else a2
 
-    # f and f' are spelled exactly as in phase() and phase_derivative(), whose
-    # rounding the path keeps; 12 iterates at 1e-10, a last check at 10x
+    # f and f' share t^2 and t^4. CPython raises a complex to a small integer
+    # power by squaring, so t**4 is (t*t)*(t*t) and t**5 is t*((t*t)*(t*t)):
+    # both round as in phase() and phase_derivative(), whose path the tracer
+    # keeps bit for bit; 12 iterates at 1e-10, a last check at 10x
+    half_gamma = 0.5 * gamma
     level_tols = (1e-10,) * 12 + (1e-9,)
 
     def correct(t: complex):
-        """(t, height) back on Re(f - f0) = 0, or None; height = Re i(f - f0)."""
+        """(t, height, f'(t)) back on Re(f - f0) = 0, or None; height = Re i(f - f0)."""
         for tol in level_tols:
-            f = t ** 5 / 5.0 + 0.5 * gamma * t * t + sigma * t
+            t2 = t * t
+            t4 = t2 * t2
+            f = t * t4 / 5.0 + half_gamma * t * t + sigma * t
+            fp = t4 + gamma * t + sigma
             df = f - f0
-            if abs(df.real) <= tol * max(1.0, abs(f)):
-                return t, -df.imag
-            fp = t ** 4 + gamma * t + sigma
-            if abs(fp) < 1e-13:
+            af = abs(f)
+            if abs(df.real) <= tol * (af if af > 1.0 else 1.0):
+                return t, -df.imag, fp
+            afp = abs(fp)
+            if afp < 1e-13:
                 return None
-            t = t - df.real * fp.conjugate() / abs(fp) ** 2
+            t = t - df.real * fp.conjugate() / afp ** 2
         return None
 
     points = [t0]
@@ -309,7 +303,7 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     cand = correct(t0 + step * cmath.exp(1j * alpha))
     if cand is None or cand[1] >= 0.0:
         raise PathStalled(f"could not leave saddle {k} in direction {direction.value}")
-    t, h_prev = cand
+    t, h_prev, fp = cand
     points.append(t)
 
     steps = 0
@@ -318,18 +312,18 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
         steps += 1
         if steps > 40000:
             raise PathStalled("step budget exhausted before reaching the cutoff radius")
-        fp = t ** 4 + gamma * t + sigma
-        if abs(fp) < 1e-13:
+        afp = abs(fp)
+        if afp < 1e-13:
             raise PathStalled("ran into another saddle while tracing")
-        tangent = 1j * fp.conjugate()
-        cand = correct(t + dt * tangent / abs(tangent))
+        # the tangent i*conj(f') has the modulus of f'
+        cand = correct(t + dt * (1j * fp.conjugate()) / afp)
         if cand is None or cand[1] >= h_prev:
             dt *= 0.5
             good_streak = 0
             if dt < 1e-7:
                 raise PathStalled("corrector kept failing; suspected saddle collision")
             continue
-        t, h_prev = cand
+        t, h_prev, fp = cand
         points.append(t)
         good_streak += 1
         if good_streak >= 5 and dt < step:

@@ -215,12 +215,22 @@ class ScanGrid:
         for a in (self.y_values, self.z_values, self.abs_q, self.flags):
             a.flags.writeable = False
 
+    def _finite_argmin(self):
+        """(i, j) of the smallest finite |Q|; ``ValueError`` if no cell is finite."""
+        finite = np.isfinite(self.abs_q)
+        if not finite.any():
+            raise ValueError("no cell of the scan has a finite |Q|")
+        return np.unravel_index(np.argmin(np.where(finite, self.abs_q, np.inf)),
+                                self.abs_q.shape)
+
     @property
     def min_abs_q(self) -> float:
-        return float(self.abs_q.min())
+        """The smallest finite |Q| (``ValueError`` if there is none)."""
+        return float(self.abs_q[self._finite_argmin()])
 
     def argmin_cell(self):
-        i, j = np.unravel_index(np.argmin(self.abs_q), self.abs_q.shape)
+        """(y, z) of the smallest finite |Q| (``ValueError`` if there is none)."""
+        i, j = self._finite_argmin()
         return float(self.y_values[i]), float(self.z_values[j])
 
     @property

@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import swallowtail
-from swallowtail import QuadratureConfig, RefineConfig, trace_steepest
+from swallowtail import QuadratureConfig, RefineConfig, ScanGrid, trace_steepest
 from swallowtail.cli import build_parser, main
 from swallowtail.schema import validate_envelope
 
@@ -155,6 +156,33 @@ def test_scan_writes_json(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert len(data["z_values"]) == 11
     assert env["results"]["format"] == "json"
+
+
+def _fake_scan(abs_q):
+    """A ``modulus_scan`` stand-in returning a 1 x 2 grid with these |Q|."""
+    def scan(y_range, z_range, ny, nz, cfg):
+        return ScanGrid(np.array([0.0]), np.array([-2.0, 1.0]), np.array([abs_q]),
+                        np.array([["ok" if math.isfinite(v) else "tol_miss" for v in abs_q]]))
+    return scan
+
+
+def test_scan_summary_skips_non_finite_cells(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("swallowtail.cli.modulus_scan", _fake_scan([math.nan, 0.5]))
+    env = run_json(capsys, ["scan", "--y-range", "0:0", "--z-range=-2:1", "--ny", "1",
+                            "--nz", "2", "--out", str(tmp_path / "grid.csv")])
+    assert env["results"]["min_abs_q"] == 0.5
+    assert (env["results"]["argmin_y"], env["results"]["argmin_z"]) == (0.0, 1.0)
+    assert env["results"]["flagged_cells"] == 1
+
+
+def test_scan_without_a_finite_cell_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("swallowtail.cli.modulus_scan", _fake_scan([math.nan, math.inf]))
+    code, out, err = run_cli(capsys, ["scan", "--y-range", "0:0", "--z-range=-2:1",
+                                      "--ny", "1", "--nz", "2",
+                                      "--out", str(tmp_path / "grid.csv")])
+    assert code == 3 and out == ""
+    assert "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "grid.csv").exists()
 
 
 # ------------------------------------------------------------- exit codes

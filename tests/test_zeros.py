@@ -285,6 +285,21 @@ def test_scan_grid_serialization_is_fixed(tmp_path):
     assert grid.flagged_cells == 1
 
 
+def test_scan_summary_takes_finite_cells_only():
+    # a cell whose quadrature overflowed holds NaN or inf; the summary must
+    # neither report it as the minimum nor point the argmin at it
+    grid = ScanGrid(np.array([0.0, 0.5]), np.array([-2.0, 1.0]),
+                    np.array([[math.nan, 0.5], [math.inf, 0.25]]),
+                    np.array([["tol_miss", "ok"], ["tol_miss", "ok"]]))
+    assert grid.min_abs_q == 0.25 and grid.argmin_cell() == (0.5, 1.0)
+    empty = ScanGrid(np.array([0.0]), np.array([-2.0, 1.0]),
+                     np.array([[math.nan, math.inf]]), np.array([["tol_miss", "tol_miss"]]))
+    with pytest.raises(ValueError, match="finite"):
+        empty.min_abs_q
+    with pytest.raises(ValueError, match="finite"):
+        empty.argmin_cell()
+
+
 def test_scan_validation():
     with pytest.raises(ValueError):
         modulus_scan((0.0, 1.0), (0.0, 1.0), 0, 2)
