@@ -22,7 +22,18 @@ class DegenerateScaling(SwallowtailError):
 
 
 class PathStalled(SwallowtailError):
-    """Steepest-descent tracing could not continue (nearby saddle collision)."""
+    """Steepest-descent tracing could not continue (nearby saddle collision).
+
+    ``saddle_index`` and ``direction`` name the traced branch, and ``point``
+    is where the trace stopped: its last accepted point, the saddle itself
+    if no step was accepted, or None if tracing never started.
+    """
+
+    def __init__(self, message, *, saddle_index=None, direction=None, point=None):
+        super().__init__(message)
+        self.saddle_index = saddle_index
+        self.direction = direction
+        self.point = point
 
 
 class RegimeError(SwallowtailError):

@@ -19,6 +19,7 @@ plus one conjugate pair.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -164,9 +165,20 @@ def _degenerate_set(roots) -> SaddleSet:
 
 
 def saddles(sp: ScaledParams) -> SaddleSet:
-    """Solve f'(t) = 0, classify the configuration and label the roots."""
-    sigma = sp.sign_z.value
-    raw = _polish(np.roots([1.0, 0.0, 0.0, sp.gamma, sigma]), sp.gamma, sigma)
+    """Solve f'(t) = 0, classify the configuration and label the roots.
+
+    lambda plays no part in the roots, so one solve serves every caller with
+    the same gamma and sign of z: the last 16 sets are cached.  The key
+    carries gamma's sign bit, because -0.0 == 0.0 and both hash alike while
+    their roots may differ in the signs of zero parts.
+    """
+    return _solve_saddles(sp.gamma, math.copysign(1.0, sp.gamma), sp.sign_z)
+
+
+@functools.lru_cache(maxsize=16)
+def _solve_saddles(gamma: float, gamma_sign: float, sign_z: ZSign) -> SaddleSet:
+    sigma = sign_z.value
+    raw = _polish(np.roots([1.0, 0.0, 0.0, gamma, sigma]), gamma, sigma)
     is_real = np.abs(raw.imag) <= _PAIR_TOL * np.maximum(1.0, np.abs(raw))
     reals = [complex(r) for r in sorted(raw.real[is_real].tolist(), reverse=True)]
     cpx = raw[~is_real].tolist()
@@ -185,7 +197,7 @@ def saddles(sp: ScaledParams) -> SaddleSet:
     (r_hi, r_lo), (up,), (dn,) = reals, upper, lower
     if abs(r_hi - r_lo) <= 1e-6 * max(1.0, abs(r_hi)):
         return _degenerate_set(raw)       # collided real pair: on the caustic
-    roots = (r_hi, up, r_lo, dn) if sp.sign_z is ZSign.NEGATIVE else (up, r_hi, r_lo, dn)
+    roots = (r_hi, up, r_lo, dn) if sign_z is ZSign.NEGATIVE else (up, r_hi, r_lo, dn)
     nan = float("nan")
     return SaddleSet(roots, Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR, nan, nan, nan)
 
@@ -232,11 +244,15 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
                    step: float = 0.01, cutoff_radius: float = 8.0) -> SteepestPath:
     """Trace one descending constant-phase branch leaving saddle k.
 
-    Predictor: Euler step along the local tangent i*conj(f'). Corrector:
-    1D Newton transverse to the tangent, restoring Re(f - f(t_k)) = 0.
+    One predictor-corrector loop takes every step. Predictor: the first step
+    leaves t_k along the descent direction of the quadratic term, every later
+    one is an Euler step along the local tangent i*conj(f'). Corrector: 1D
+    Newton transverse to the tangent, restoring Re(f - f(t_k)) = 0.
     The step is halved whenever the corrector fails or descent-monotonicity
     breaks; running out of step length signals a saddle collision, and a
     trace still inside the cutoff after 40 000 steps raises ``PathStalled``.
+    The saddles come from the cache of ``saddles`` (keyed on gamma with its
+    sign bit and on the sign of z): one root solve per (gamma, sign z).
 
     Complex-conjugate saddles share Re f, so a branch leaving one of them can
     run through its partner: for z > 0 the left branch of saddle 3 passes
@@ -245,6 +261,8 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     passes through saddle 3.  Usually a step jumps past the partner and the
     trace ends in one of the partner's valleys; when a step lands on the
     partner, the trace raises ``PathStalled``, which is then the right answer.
+    A ``PathStalled`` carries k, the direction and the point where the
+    trace stopped.
 
     Raises ``ValueError`` for k not an integer 0..3, a step or cutoff radius
     that is not finite and positive, or a cutoff radius inside |t_k|.
@@ -260,14 +278,17 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     if cutoff_radius <= abs(t0):
         raise ValueError(f"cutoff_radius {cutoff_radius!r} does not exceed "
                          f"|t_{k}| = {abs(t0)!r}")
+
+    def stalled(message, point=None):
+        return PathStalled(message, saddle_index=k, direction=direction, point=point)
+
     if sset.regime is Regime.DEGENERATE:
-        raise PathStalled("saddle set is degenerate; no isolated branch to trace")
+        raise stalled("saddle set is degenerate; no isolated branch to trace")
     gamma, sign_z = sp.gamma, sp.sign_z
-    sigma = sign_z.value
     f0 = phase(t0, gamma, sign_z)
     fpp = phase_second_derivative(t0, gamma)
     if abs(fpp) < 1e-12:
-        raise PathStalled("vanishing second derivative at the saddle")
+        raise stalled("vanishing second derivative at the saddle")
 
     a1, a2 = _descent_angles(fpp)
     c1 = math.cos(a1)
@@ -277,58 +298,66 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     # f and f' share t^2 and t^4. CPython raises a complex to a small integer
     # power by squaring, so t**4 is (t*t)*(t*t) and t**5 is t*((t*t)*(t*t)):
     # both round as in phase() and phase_derivative(), whose path the tracer
-    # keeps bit for bit; 12 iterates at 1e-10, a last check at 10x
+    # keeps bit for bit. Before Python 3.14 an int times a complex is
+    # complex(int) times it, so complex(sigma) changes no bit; afp ** 2 must
+    # stay a pow, which differs from afp * afp in the last bit for some afp.
+    # 12 iterates at 1e-10, a last check at 10x
     half_gamma = 0.5 * gamma
+    sigma = complex(sign_z.value)
     level_tols = (1e-10,) * 12 + (1e-9,)
 
-    def correct(t: complex):
-        """(t, height, f'(t)) back on Re(f - f0) = 0, or None; height = Re i(f - f0)."""
+    points = [t0]
+    append = points.append
+    t, fp_t, h_prev, dt = t0, None, 0.0, step
+    pred = t0 + step * cmath.exp(1j * alpha)
+    steps = good_streak = 0
+    while True:
+        # corrector: u back on Re(f - f0) = 0 with height = Re i(f - f0),
+        # or height None
+        u, height = pred, None
         for tol in level_tols:
-            t2 = t * t
-            t4 = t2 * t2
-            f = t * t4 / 5.0 + half_gamma * t * t + sigma * t
-            fp = t4 + gamma * t + sigma
+            u2 = u * u
+            u4 = u2 * u2
+            f = u * u4 / 5.0 + half_gamma * u * u + sigma * u
+            fp = u4 + gamma * u + sigma
             df = f - f0
+            level = df.real
+            # max(1, |f|) >= 1, so |level| <= tol accepts without |f|
+            if -tol <= level <= tol:
+                height = -df.imag
+                break
             af = abs(f)
-            if abs(df.real) <= tol * (af if af > 1.0 else 1.0):
-                return t, -df.imag, fp
+            if abs(level) <= tol * (af if af > 1.0 else 1.0):
+                height = -df.imag
+                break
             afp = abs(fp)
             if afp < 1e-13:
-                return None
-            t = t - df.real * fp.conjugate() / afp ** 2
-        return None
-
-    points = [t0]
-    dt = step
-    cand = correct(t0 + step * cmath.exp(1j * alpha))
-    if cand is None or cand[1] >= 0.0:
-        raise PathStalled(f"could not leave saddle {k} in direction {direction.value}")
-    t, h_prev, fp = cand
-    points.append(t)
-
-    steps = 0
-    good_streak = 0
-    while abs(t) < cutoff_radius:
-        steps += 1
-        if steps > 40000:
-            raise PathStalled("step budget exhausted before reaching the cutoff radius")
-        afp = abs(fp)
-        if afp < 1e-13:
-            raise PathStalled("ran into another saddle while tracing")
-        # the tangent i*conj(f') has the modulus of f'
-        cand = correct(t + dt * (1j * fp.conjugate()) / afp)
-        if cand is None or cand[1] >= h_prev:
+                break
+            u = u - level * fp.conjugate() / afp ** 2
+        if height is None or height >= h_prev:
+            if len(points) == 1:
+                raise stalled(f"could not leave saddle {k} in direction {direction.value}", t0)
             dt *= 0.5
             good_streak = 0
             if dt < 1e-7:
-                raise PathStalled("corrector kept failing; suspected saddle collision")
-            continue
-        t, h_prev, fp = cand
-        points.append(t)
-        good_streak += 1
-        if good_streak >= 5 and dt < step:
-            dt = min(step, 2.0 * dt)
-            good_streak = 0
+                raise stalled("corrector kept failing; suspected saddle collision", t)
+        else:
+            t, fp_t, h_prev = u, fp, height
+            append(t)
+            good_streak += 1
+            if good_streak >= 5 and dt < step:
+                dt = min(step, 2.0 * dt)
+                good_streak = 0
+            if not abs(t) < cutoff_radius:
+                break
+        steps += 1
+        if steps > 40000:
+            raise stalled("step budget exhausted before reaching the cutoff radius", t)
+        afp = abs(fp_t)
+        if afp < 1e-13:
+            raise stalled("ran into another saddle while tracing", t)
+        # the tangent i*conj(f') has the modulus of f'
+        pred = t + dt * (1j * fp_t.conjugate()) / afp
 
     sector = _nearest_valley(cmath.phase(t) % (2.0 * math.pi))
     return SteepestPath(k, tuple(points), sector)

@@ -247,10 +247,12 @@ class ScanGrid:
                                      repr(float(self.abs_q[i, j])), str(self.flags[i, j])])
 
     def to_json_dict(self) -> dict:
+        """The grid as RFC 8259 JSON values: a non-finite |Q| becomes None."""
         return {
             "y_values": self.y_values.tolist(),
             "z_values": self.z_values.tolist(),
-            "abs_q": self.abs_q.tolist(),
+            "abs_q": [[v if math.isfinite(v) else None for v in row]
+                      for row in self.abs_q.tolist()],
             "flags": self.flags.tolist(),
         }
 

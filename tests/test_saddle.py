@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import swallowtail.saddle as saddle_mod
+from swallowtail import asymptotics
 from swallowtail import (
     DegenerateScaling,
     Direction,
@@ -226,6 +228,58 @@ def test_saddles_are_bit_identical_to_reference():
     assert degenerate >= 500
 
 
+def test_saddle_cache_keeps_signed_zeros_apart():
+    # -0.0 and 0.0 are equal keys for a plain float; the cache key carries
+    # gamma's sign bit, so each signed zero gets its own root solve
+    assert -0.0 == 0.0 and hash(-0.0) == hash(0.0)
+    for sign in ZSign:
+        for gammas in ((-0.0, 0.0), (0.0, -0.0)):
+            for clear in (True, False):
+                if clear:
+                    saddle_mod._solve_saddles.cache_clear()
+                for gamma in gammas:
+                    sp = ScaledParams(1.0, gamma, sign)
+                    assert _saddle_bits(saddles(sp)) == _saddle_bits(_reference_saddles(sp)), sp
+
+
+@pytest.mark.parametrize("lam,gamma,sign", [
+    (10.0, 0.7, ZSign.NEGATIVE),                 # real pair plus conjugate pair
+    (10.0, 0.5, ZSign.POSITIVE),                 # two conjugate pairs
+    (10.0, 2.0, ZSign.POSITIVE),                 # beyond the caustic
+])
+def test_one_root_solve_per_gamma_and_sign(monkeypatch, lam, gamma, sign):
+    # the geometry sequence: saddles, the regime's asymptotics and all 8
+    # branches, which all ask for the same quartic
+    calls = []
+    roots = saddle_mod.np.roots
+
+    def counted(p):
+        calls.append(p)
+        return roots(p)
+
+    saddle_mod._solve_saddles.cache_clear()
+    monkeypatch.setattr(saddle_mod.np, "roots", counted)
+    sp = ScaledParams(lam, gamma, sign)
+    sset = saddles(sp)
+    if sign is ZSign.NEGATIVE:
+        asymptotics.saddle_contributions(sp, sset)
+        asymptotics.leading_from_contributions(sp)
+        asymptotics.below_caustic_obstruction(sp)
+    elif sset.regime is Regime.TWO_CONJUGATE_PAIRS:
+        asymptotics.saddle_contributions(sp, sset)
+        asymptotics.leading_from_contributions(sp)
+        asymptotics.dominance_gap(sp)
+    else:
+        asymptotics.below_caustic_obstruction(sp)
+    for k in range(4):
+        for direction in Direction:
+            try:
+                trace_steepest(sp, k, direction)
+            except PathStalled:
+                pass
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------- phases
 
 
@@ -318,6 +372,25 @@ def test_trace_stalls_on_conjugate_saddle_connection():
     t_partner = saddles(nearby).roots[0]
     assert min(abs(t - t_partner) for t in path.points) < 1e-4
     assert path.terminal_sector == 1
+
+
+def test_stall_names_where_the_trace_stopped():
+    # the conjugate-connection stall above stops next to saddle 0, the
+    # conjugate partner of saddle 3
+    sp = ScaledParams(1.0, 0.24738569133613494, ZSign.POSITIVE)
+    with pytest.raises(PathStalled) as info:
+        trace_steepest(sp, 3, Direction.LEFT)
+    exc = info.value
+    assert exc.saddle_index == 3 and exc.direction is Direction.LEFT
+    assert abs(exc.point - saddles(sp).roots[0]) < 1e-4
+    # a stall before tracing starts has no point
+    with pytest.raises(PathStalled) as info:
+        trace_steepest(ScaledParams(1.0, caustic_gamma(), ZSign.POSITIVE), 1, "right")
+    assert (info.value.saddle_index, info.value.direction, info.value.point) == (
+        1, Direction.RIGHT, None)
+    plain = PathStalled("message")
+    assert str(plain) == "message" and plain.args == ("message",)
+    assert (plain.saddle_index, plain.direction, plain.point) == (None, None, None)
 
 
 @pytest.mark.parametrize("k", [-1, 4, 1.0, True])

@@ -285,6 +285,24 @@ def test_scan_grid_serialization_is_fixed(tmp_path):
     assert grid.flagged_cells == 1
 
 
+def test_scan_grid_json_is_strict(tmp_path):
+    # RFC 8259 has no NaN or Infinity: a non-finite |Q| is written as null,
+    # and its flag still says tol_miss
+    grid = ScanGrid(np.array([0.0, 0.5]), np.array([-2.0, 1.0]),
+                    np.array([[math.nan, 0.5], [math.inf, 0.25]]),
+                    np.array([["tol_miss", "ok"], ["tol_miss", "ok"]]))
+    out = tmp_path / "grid.json"
+    grid.to_json(out)
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    assert json.loads(out.read_text(), parse_constant=reject) == {
+        "y_values": [0.0, 0.5], "z_values": [-2.0, 1.0],
+        "abs_q": [[None, 0.5], [None, 0.25]],
+        "flags": [["tol_miss", "ok"], ["tol_miss", "ok"]]}
+
+
 def test_scan_summary_takes_finite_cells_only():
     # a cell whose quadrature overflowed holds NaN or inf; the summary must
     # neither report it as the minimum nor point the argmin at it
