@@ -20,6 +20,7 @@ from .asymptotics import (
     leading_q00,
     pearcey_hill_y,
     pearcey_hill_zeros,
+    predicted_zero,
     predicted_zeros,
     saddle_contributions,
 )

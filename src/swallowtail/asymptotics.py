@@ -26,7 +26,6 @@ from .saddle import (
     SaddleSet,
     ScaledParams,
     ZSign,
-    phase_at_saddle,
     phase_second_derivative,
     reduced_phase,
     saddles,
@@ -122,26 +121,30 @@ def axis_envelope(z: float) -> float:
     return env
 
 
-def predicted_zeros(branch: Branch, m_max: int, form: Form = Form.Q) -> list[ZeroPrediction]:
-    """Closed-form zero sequence for m = 0..m_max on the requested branch.
+def predicted_zero(branch: Branch, m: int, form: Form = Form.Q) -> ZeroPrediction:
+    """The closed-form zero of index m >= 0 on the requested branch.
 
     Predictions are native to the Q normalization; the S values follow from
     the coordinate map z_S = 5^(1/5) z_Q, which sends the z-axis to itself.
     """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if branch is Branch.POSITIVE_Z:
+        lam = (5.0 * math.sqrt(2.0) / 4.0) * (math.pi / 8.0 + (2 * m + 1) * math.pi / 2.0)
+        z = lam ** 0.8
+    else:
+        lam = 1.25 * (math.pi / 4.0 + (2 * m + 1) * math.pi / 2.0)
+        z = -(lam ** 0.8)
+    if form is Form.S:
+        z *= 5.0 ** 0.2
+    return ZeroPrediction(branch, m, z, form)
+
+
+def predicted_zeros(branch: Branch, m_max: int, form: Form = Form.Q) -> list[ZeroPrediction]:
+    """``predicted_zero`` for m = 0..m_max."""
     if m_max < 0:
         raise ValueError("m_max must be nonnegative")
-    out = []
-    for m in range(m_max + 1):
-        if branch is Branch.POSITIVE_Z:
-            lam = (5.0 * math.sqrt(2.0) / 4.0) * (math.pi / 8.0 + (2 * m + 1) * math.pi / 2.0)
-            z = lam ** 0.8
-        else:
-            lam = 1.25 * (math.pi / 4.0 + (2 * m + 1) * math.pi / 2.0)
-            z = -(lam ** 0.8)
-        if form is Form.S:
-            z *= 5.0 ** 0.2
-        out.append(ZeroPrediction(branch, m, z, form))
-    return out
+    return [predicted_zero(branch, m, form) for m in range(m_max + 1)]
 
 
 def pearcey_hill_y(z_q: float) -> float:
@@ -182,7 +185,7 @@ def saddle_contributions(sp: ScaledParams, saddle_set: SaddleSet | None = None) 
     out = []
     for k in indices:
         t = sset.roots[k]
-        f_t = phase_at_saddle(sp, k, sset)
+        f_t = reduced_phase(t, sp.gamma, sp.sign_z)
         fpp = phase_second_derivative(t, sp.gamma)
         amp = (cmath.exp(1j * (math.pi / 4.0 - cmath.phase(fpp) / 2.0))
                * math.sqrt(2.0 * math.pi / abs(fpp)))
@@ -244,6 +247,7 @@ __all__ = [
     "SaddleContribution",
     "ObstructionReport",
     "leading_q00",
+    "predicted_zero",
     "predicted_zeros",
     "pearcey_hill_y",
     "pearcey_hill_zeros",

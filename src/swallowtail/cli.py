@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .asymptotics import Branch, predicted_zeros
+from .asymptotics import Branch, predicted_zero, predicted_zeros
 from .errors import (
     DegenerateScaling,
     DomainError,
@@ -38,13 +38,6 @@ from .saddle import (
 )
 from .schema import ENVELOPE_SCHEMA_VERSION
 from .zeros import RefineConfig, axis_confinement_scan, modulus_scan, refine_on_axis
-
-# Past this value of lambda = |z|^(5/4) the integral is pure asymptotics and
-# the CLI points users at leading_q00 / predicted_zeros instead.  The
-# quadrature fails well below it for z < 0: at tol 1e-8, z = -45 (lambda ~ 117)
-# misses its tolerance after 3000 panels, and z = -1000 (lambda ~ 5600)
-# overflows np.exp and ends on a non-finite error estimate.
-LAMBDA_WARN_THRESHOLD = 1e4
 
 EXIT_BROKEN_PIPE = 1
 EXIT_BAD_INPUT = 2
@@ -106,13 +99,6 @@ def _scaled(args) -> ScaledParams:
 def cmd_eval(args) -> int:
     cfg = _quad_config(args)
     p = Params(args.x, args.y, args.z, Form(args.form))
-    if abs(args.z) > 0 and abs(args.z) ** 1.25 > LAMBDA_WARN_THRESHOLD:
-        print(
-            f"warning: lambda = |z|^(5/4) = {abs(args.z) ** 1.25:.3g} exceeds "
-            f"{LAMBDA_WARN_THRESHOLD:.0e}; the asymptotic forms are cheaper and "
-            "accurate at this scale",
-            file=sys.stderr,
-        )
     result = eval_s(p, cfg) if p.form is Form.S else eval_q(p, cfg)
     _emit("eval", {
         "x": args.x, "y": args.y, "z": args.z, "form": args.form, **_quad_echo(cfg),
@@ -182,7 +168,7 @@ def cmd_zeros_refine(args) -> int:
         max_abs_z=args.max_abs_z,
         quadrature=QuadratureConfig(target_abs_tol=args.tol),
     )
-    seed = predicted_zeros(_BRANCHES[args.branch], args.m)[args.m]
+    seed = predicted_zero(_BRANCHES[args.branch], args.m)
     refined = refine_on_axis(seed, cfg)
     _emit("zeros-refine", {
         "branch": args.branch, "m": args.m,

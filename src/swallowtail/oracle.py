@@ -34,8 +34,9 @@ import numpy as np
 
 from .errors import ToleranceNotReached
 from .params import Form, Params, s_to_q
+from .saddle import VALLEY_ANGLES
 
-DEFAULT_RAY_ANGLES = (9.0 * math.pi / 10.0, math.pi / 10.0)
+DEFAULT_RAY_ANGLES = (VALLEY_ANGLES[2], VALLEY_ANGLES[0])
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
 _XGK = np.array([

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateScaling, PathStalled
+from .errors import DegenerateScaling, DomainError, PathStalled
 from .params import Form, Params
 
 # Angular centres of the sectors where exp(i t^5/5) decays at infinity.
@@ -115,7 +115,11 @@ class SteepestPath:
 
 
 def scale(p: Params) -> ScaledParams:
-    """Extract (lambda, gamma, sign z) from an on-plane (x = 0) Q triple."""
+    """Extract (lambda, gamma, sign z) from an on-plane (x = 0) Q triple.
+
+    Raises ``DomainError`` when lambda = |z|^(5/4) overflows a float
+    (|z| > 4.0e246).
+    """
     if p.form is not Form.Q:
         raise ValueError("scale expects form=Q parameters")
     if p.x != 0.0:
@@ -123,8 +127,12 @@ def scale(p: Params) -> ScaledParams:
     if p.z == 0.0:
         raise DegenerateScaling("z = 0 admits no large-parameter scaling")
     az = abs(p.z)
+    try:
+        lam = az ** 1.25
+    except OverflowError:
+        raise DomainError(f"lambda = |z|^(5/4) overflows a float at z = {p.z!r}") from None
     return ScaledParams(
-        lam=az ** 1.25,
+        lam=lam,
         gamma=p.y / az ** 0.75,
         sign_z=ZSign.POSITIVE if p.z > 0 else ZSign.NEGATIVE,
     )
@@ -216,14 +224,13 @@ def reduced_phase(t, gamma: float, sign_z: ZSign):
     return 0.3 * gamma * t * t + sign_z.value * 0.8 * t
 
 
-def phase_at_saddle(sp: ScaledParams, k: int, saddle_set: SaddleSet | None = None) -> complex:
+def phase_at_saddle(sp: ScaledParams, k: int) -> complex:
     """f(t_k) through the reduced form valid at roots of f'.
 
     Raises ``ValueError`` for k not an integer 0..3.
     """
     k = _check_saddle_index(k)
-    sset = saddle_set if saddle_set is not None else saddles(sp)
-    return reduced_phase(sset.roots[k], sp.gamma, sp.sign_z)
+    return reduced_phase(saddles(sp).roots[k], sp.gamma, sp.sign_z)
 
 
 def _descent_angles(fpp: complex):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .asymptotics import Branch, ZeroPrediction, axis_envelope, predicted_zeros
+from .asymptotics import Branch, ZeroPrediction, axis_envelope, predicted_zero
 from .errors import NoConvergence, SeedOutOfRange, ToleranceNotReached
 from .oracle import QuadratureConfig, _integrate, _integrate_points
 from .oracle import eval_q  # noqa: F401  (zeros.eval_q stays importable for code that wraps it)
@@ -171,7 +171,7 @@ def axis_confinement_scan(y0: float, branch: Branch, m: int,
     if not math.isfinite(y0):
         raise ValueError(f"y0 must be finite, got {y0!r}")
     cfg = cfg or RefineConfig()
-    seed_z = predicted_zeros(branch, m)[m].z_predicted
+    seed_z = predicted_zero(branch, m).z_predicted
     quad = cfg.quadrature
     point = np.array([y0, seed_z])      # (y, z)
     q, f, jac = _q_and_jacobian(*point, quad)

@@ -5,13 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import swallowtail
-from swallowtail import QuadratureConfig, RefineConfig, ScanGrid, trace_steepest
+from swallowtail import Form, QuadratureConfig, RefineConfig, ScanGrid, trace_steepest
+from swallowtail import asymptotics, cli, zeros
 from swallowtail.cli import build_parser, main
 from swallowtail.schema import validate_envelope
 
@@ -310,11 +312,38 @@ def test_unwritable_output_exit_5(capsys):
     assert code == 5
 
 
-def test_large_z_warning(capsys):
-    code, out, err = run_cli(capsys, ["eval", "--x", "0", "--y", "0", "--z", "2000",
-                                      "--tol", "1e-6"])
-    assert code == 0
-    assert "warning" in err
+@pytest.mark.parametrize("z", ["1e300", "-1e300"])
+@pytest.mark.parametrize("command", [["eval", "--x", "0"], ["saddles"],
+                                     ["trace", "--saddle", "0", "--direction", "left"]])
+def test_huge_z_exits_0_or_2_without_traceback(command, z):
+    # lambda = |z|^(5/4) overflows a float for |z| > 4.0e246; a child process,
+    # because eval at z = -1e300 also prints numpy's overflow warnings
+    proc = subprocess.run([sys.executable, "-m", "swallowtail", *command, "--y", "0",
+                           f"--z={z}"], capture_output=True, text=True, timeout=120,
+                          env=CHILD_ENV)
+    assert proc.returncode in (0, 2)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0 or proc.stderr.splitlines()[-1].startswith("error: ")
+
+
+def test_refine_and_confine_evaluate_one_prediction(capsys, monkeypatch):
+    calls, formula = [], asymptotics.predicted_zero
+
+    def spy(branch, m, form=Form.Q):
+        calls.append(m)
+        return formula(branch, m, form)
+
+    for module in (asymptotics, cli, zeros):
+        monkeypatch.setattr(module, "predicted_zero", spy)
+    assert run_cli(capsys, ["zeros", "refine", "--branch", "neg", "--m", "3"])[0] == 0
+    assert run_cli(capsys, ["zeros", "confine", "--y0", "0.2", "--branch", "pos",
+                            "--m", "2"])[0] == 0
+    assert calls == [3, 2]
+    # a far seed is refused at once, without building the m + 1 earlier seeds
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, ["zeros", "refine", "--branch", "pos", "--m", "1000000"])
+    assert code == 2 and "exceeds the feasible range" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_every_success_envelope_validates(capsys, tmp_path):

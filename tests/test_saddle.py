@@ -302,7 +302,7 @@ def test_reduced_phase_agrees_with_direct(rng):
         sset = saddles(sp)
         for k in range(4):
             direct = phase(sset.roots[k], g, sign)
-            assert abs(phase_at_saddle(sp, k, sset) - direct) < 1e-12
+            assert abs(phase_at_saddle(sp, k) - direct) < 1e-12
 
 
 # ---------------------------------------------------------------- tracing
