@@ -126,17 +126,26 @@ def predicted_zero(branch: Branch, m: int, form: Form = Form.Q) -> ZeroPredictio
 
     Predictions are native to the Q normalization; the S values follow from
     the coordinate map z_S = 5^(1/5) z_Q, which sends the z-axis to itself.
+
+    Raises ``ValueError`` for m < 0, and for m from about 2.86e307 on, where
+    (2m + 1) pi overflows a float.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
+    try:
+        odd = float(2 * m + 1)    # the same float that int * float converts to
+    except OverflowError:
+        odd = math.inf
     if branch is Branch.POSITIVE_Z:
-        lam = (5.0 * math.sqrt(2.0) / 4.0) * (math.pi / 8.0 + (2 * m + 1) * math.pi / 2.0)
+        lam = (5.0 * math.sqrt(2.0) / 4.0) * (math.pi / 8.0 + odd * math.pi / 2.0)
         z = lam ** 0.8
     else:
-        lam = 1.25 * (math.pi / 4.0 + (2 * m + 1) * math.pi / 2.0)
+        lam = 1.25 * (math.pi / 4.0 + odd * math.pi / 2.0)
         z = -(lam ** 0.8)
     if form is Form.S:
         z *= 5.0 ** 0.2
+    if not math.isfinite(z):
+        raise ValueError("m is too large: its predicted zero overflows a float")
     return ZeroPrediction(branch, m, z, form)
 
 

@@ -4,6 +4,12 @@ Every command prints one JSON envelope (see ``schema``) to stdout.  Exit
 codes: 0 success, 1 stdout closed early (broken pipe), 2 bad flags or
 out-of-domain input, 3 tolerance or convergence failure, 4 stalled path
 tracing, 5 unwritable output path.
+
+Start-up cost is paid per command: each ``cmd_*`` imports the library
+functions it runs, and the parser reads its defaults from numpy-free
+modules.  ``zeros predict``, ``--help`` and ``--version`` never load numpy;
+``eval``, ``saddles``, ``trace``, ``zeros refine``, ``zeros confine`` and
+``scan`` load it when they compute.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import os
 import sys
 
 from . import __version__
-from .asymptotics import Branch, predicted_zero, predicted_zeros
 from .errors import (
     DegenerateScaling,
     DomainError,
@@ -25,19 +30,9 @@ from .errors import (
     SeedOutOfRange,
     ToleranceNotReached,
 )
-from .oracle import QuadratureConfig, eval_q, eval_s
-from .params import Form, Params
-from .saddle import (
-    VALLEY_ANGLES,
-    Direction,
-    ScaledParams,
-    caustic_gamma,
-    saddles,
-    scale,
-    trace_steepest,
-)
+from .params import Form, Params, QuadratureConfig, RefineConfig
+from .saddle import trace_steepest
 from .schema import ENVELOPE_SCHEMA_VERSION
-from .zeros import RefineConfig, axis_confinement_scan, modulus_scan, refine_on_axis
 
 EXIT_BROKEN_PIPE = 1
 EXIT_BAD_INPUT = 2
@@ -45,7 +40,11 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_PATH_STALLED = 4
 EXIT_UNWRITABLE = 5
 
-_BRANCHES = {"pos": Branch.POSITIVE_Z, "neg": Branch.NEGATIVE_Z}
+
+def _branch(choice: str):
+    """The ``Branch`` that a ``--branch`` choice ("pos" or "neg") names."""
+    from .asymptotics import Branch
+    return Branch.POSITIVE_Z if choice == "pos" else Branch.NEGATIVE_Z
 
 
 def _emit(command: str, params_echo: dict, results: dict) -> None:
@@ -92,11 +91,13 @@ def _add_quad_flags(parser):
                         help="truncation safety factor (default %(default)s)")
 
 
-def _scaled(args) -> ScaledParams:
+def _scaled(args):
+    from .saddle import scale
     return scale(Params(0.0, args.y, args.z))
 
 
 def cmd_eval(args) -> int:
+    from .oracle import eval_q, eval_s
     cfg = _quad_config(args)
     p = Params(args.x, args.y, args.z, Form(args.form))
     result = eval_s(p, cfg) if p.form is Form.S else eval_q(p, cfg)
@@ -113,6 +114,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_saddles(args) -> int:
+    from .saddle import caustic_gamma, saddles
     sp = _scaled(args)
     sset = saddles(sp)
     def opt(v):
@@ -129,6 +131,7 @@ def cmd_saddles(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from .saddle import VALLEY_ANGLES, Direction
     sp = _scaled(args)
     path = trace_steepest(sp, args.saddle, Direction(args.direction),
                           step=args.step, cutoff_radius=args.cutoff)
@@ -146,7 +149,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_zeros_predict(args) -> int:
-    preds = predicted_zeros(_BRANCHES[args.branch], args.m_max, Form(args.form))
+    from .asymptotics import predicted_zeros
+    preds = predicted_zeros(_branch(args.branch), args.m_max, Form(args.form))
     _emit("zeros-predict", {
         "branch": args.branch, "m_max": args.m_max, "form": args.form,
     }, {
@@ -160,6 +164,8 @@ def cmd_zeros_predict(args) -> int:
 
 
 def cmd_zeros_refine(args) -> int:
+    from .asymptotics import predicted_zero
+    from .zeros import refine_on_axis
     if not math.isfinite(args.max_abs_z):   # the echo must stay RFC 8259 JSON
         raise ValueError(f"--max-abs-z must be finite, got {args.max_abs_z!r}")
     cfg = RefineConfig(
@@ -168,7 +174,7 @@ def cmd_zeros_refine(args) -> int:
         max_abs_z=args.max_abs_z,
         quadrature=QuadratureConfig(target_abs_tol=args.tol),
     )
-    seed = predicted_zero(_BRANCHES[args.branch], args.m)
+    seed = predicted_zero(_branch(args.branch), args.m)
     refined = refine_on_axis(seed, cfg)
     _emit("zeros-refine", {
         "branch": args.branch, "m": args.m,
@@ -186,11 +192,12 @@ def cmd_zeros_refine(args) -> int:
 
 
 def cmd_zeros_confine(args) -> int:
+    from .zeros import axis_confinement_scan
     cfg = RefineConfig(
         residual_tol=args.modulus_tol,
         quadrature=QuadratureConfig(target_abs_tol=args.tol),
     )
-    record = axis_confinement_scan(args.y0, _BRANCHES[args.branch], args.m, cfg)
+    record = axis_confinement_scan(args.y0, _branch(args.branch), args.m, cfg)
     _emit("zeros-confine", {
         "y0": args.y0, "branch": args.branch, "m": args.m,
         **_refine_echo(cfg, "modulus_tol", "max_iterations", "max_backtracks"),
@@ -208,6 +215,7 @@ def _parse_range(text: str):
 
 
 def cmd_scan(args) -> int:
+    from .zeros import modulus_scan
     cfg = _quad_config(args)
     grid = modulus_scan(args.y_range, args.z_range, args.ny, args.nz, cfg)
     try:

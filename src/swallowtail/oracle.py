@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceNotReached
-from .params import Form, Params, s_to_q
+from .params import Form, Params, QuadratureConfig, s_to_q
 from .saddle import VALLEY_ANGLES
 
 DEFAULT_RAY_ANGLES = (VALLEY_ANGLES[2], VALLEY_ANGLES[0])
@@ -90,31 +90,6 @@ _POINT_PASS = 512
 # shared cores the array form costs about 250 us for 1 to 64 points, the
 # scalar form about 11 us per point.
 _RADIUS_BATCH = 24
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerance and budget knobs for the contour evaluator.
-
-    Accepted ranges (``ValueError`` otherwise): ``target_abs_tol`` finite and
-    > 0, ``max_subdivisions`` >= 8, ``truncation_safety`` > 1 (NaN not), and
-    2 * truncation_safety / target_abs_tol finite, since the truncation
-    radius solves for its logarithm.
-    """
-
-    target_abs_tol: float = 1e-10
-    max_subdivisions: int = 1500   # panel budget per ray
-    truncation_safety: float = 10.0
-
-    def __post_init__(self):
-        if not (self.target_abs_tol > 0.0 and math.isfinite(self.target_abs_tol)):
-            raise ValueError("target_abs_tol must be a positive finite number")
-        if self.max_subdivisions < 8:
-            raise ValueError("max_subdivisions must be at least 8")
-        if not self.truncation_safety > 1.0:
-            raise ValueError("truncation_safety must exceed 1")
-        if not math.isfinite(2.0 * self.truncation_safety / self.target_abs_tol):
-            raise ValueError("2 * truncation_safety / target_abs_tol must be finite")
 
 
 @dataclass(frozen=True)

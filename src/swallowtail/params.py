@@ -8,12 +8,16 @@ Two normalizations of the same function are in play:
 They are related by the substitution u = t / 5^(1/5), which rescales each
 coordinate by a fixed power of 5 and the value by 5^(-1/5).  Every Params
 carries its normalization tag so the two conventions cannot be mixed.
+
+The configuration objects of the evaluator (``QuadratureConfig``) and of
+Newton refinement (``RefineConfig``) live here too: this module imports no
+numpy, so the CLI reads its flag defaults from them without loading it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -91,3 +95,61 @@ def conjugate_reflection(p: Params) -> Params:
     particular the integral is real-valued whenever y = 0.
     """
     return Params(p.x, -p.y, p.z, p.form)
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """Tolerance and budget knobs for the contour evaluator.
+
+    Accepted ranges (``ValueError`` otherwise): ``target_abs_tol`` finite and
+    > 0, ``max_subdivisions`` >= 8, ``truncation_safety`` > 1 (NaN not), and
+    2 * truncation_safety / target_abs_tol finite, since the truncation
+    radius solves for its logarithm.
+    """
+
+    target_abs_tol: float = 1e-10
+    max_subdivisions: int = 1500   # panel budget per ray
+    truncation_safety: float = 10.0
+
+    def __post_init__(self):
+        if not (self.target_abs_tol > 0.0 and math.isfinite(self.target_abs_tol)):
+            raise ValueError("target_abs_tol must be a positive finite number")
+        if self.max_subdivisions < 8:
+            raise ValueError("max_subdivisions must be at least 8")
+        if not self.truncation_safety > 1.0:
+            raise ValueError("truncation_safety must exceed 1")
+        if not math.isfinite(2.0 * self.truncation_safety / self.target_abs_tol):
+            raise ValueError("2 * truncation_safety / target_abs_tol must be finite")
+
+
+@dataclass(frozen=True)
+class RefineConfig:
+    """Knobs for Newton refinement (1D on-axis and 2D confinement runs).
+
+    ``residual_mode``: with "abs" the iteration stops at |Q| < residual_tol;
+    with "rel" the tolerance is scaled by the local oscillation envelope,
+    which keeps the convergence test meaningful at large positive z where
+    the whole function is exponentially small.
+
+    Accepted ranges (``ValueError`` otherwise): ``residual_tol`` finite and
+    > 0, ``max_iterations`` >= 1, ``max_backtracks`` >= 0, ``max_abs_z`` > 0
+    (inf allowed, NaN not), ``residual_mode`` "abs" or "rel".
+    """
+
+    residual_tol: float = 1e-9
+    max_iterations: int = 25
+    max_backtracks: int = 6
+    max_abs_z: float = 12.0
+    residual_mode: str = "abs"
+    quadrature: QuadratureConfig = field(
+        default_factory=lambda: QuadratureConfig(target_abs_tol=1e-11))
+
+    def __post_init__(self):
+        if self.residual_mode not in ("abs", "rel"):
+            raise ValueError("residual_mode must be 'abs' or 'rel'")
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0.0):
+            raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol!r}")
+        if not self.max_abs_z > 0.0:
+            raise ValueError(f"max_abs_z must be positive, got {self.max_abs_z!r}")
+        if self.max_iterations < 1 or self.max_backtracks < 0:
+            raise ValueError("max_iterations must be at least 1 and max_backtracks at least 0")

@@ -21,10 +21,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .errors import DegenerateScaling, DomainError, PathStalled
 from .params import Form, Params
@@ -156,8 +155,9 @@ def caustic_gamma() -> float:
     return 4.0 * 3.0 ** -0.75
 
 
-def _polish(roots: np.ndarray, gamma: float, sigma: float) -> np.ndarray:
-    """Two Newton steps on each companion-matrix eigenvalue."""
+def _polish(roots, gamma: float, sigma: float):
+    """Two Newton steps on each companion-matrix eigenvalue (a numpy array)."""
+    import numpy as np   # loaded by _solve_saddles already
     for _ in range(2):
         fp = roots ** 4 + gamma * roots + sigma
         fpp = 4.0 * roots ** 3 + gamma
@@ -185,6 +185,9 @@ def saddles(sp: ScaledParams) -> SaddleSet:
 
 @functools.lru_cache(maxsize=16)
 def _solve_saddles(gamma: float, gamma_sign: float, sign_z: ZSign) -> SaddleSet:
+    # numpy loads on the first solve, not on import: the closed-form zero
+    # predictions import this module and never solve the quartic
+    import numpy as np
     sigma = sign_z.value
     raw = _polish(np.roots([1.0, 0.0, 0.0, gamma, sigma]), gamma, sigma)
     is_real = np.abs(raw.imag) <= _PAIR_TOL * np.maximum(1.0, np.abs(raw))
@@ -212,7 +215,7 @@ def _solve_saddles(gamma: float, gamma_sign: float, sign_z: ZSign) -> SaddleSet:
 
 def _check_saddle_index(k) -> int:
     """k as an int, or ``ValueError`` unless it is an integer 0..3 (not a bool)."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k not in range(4):
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k not in range(4):
         raise ValueError(f"saddle index must be an integer 0..3, got {k!r}")
     return int(k)
 

@@ -12,15 +12,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotics import Branch, ZeroPrediction, axis_envelope, predicted_zero
 from .errors import NoConvergence, SeedOutOfRange, ToleranceNotReached
-from .oracle import QuadratureConfig, _integrate, _integrate_points
+from .oracle import _integrate, _integrate_points
 from .oracle import eval_q  # noqa: F401  (zeros.eval_q stays importable for code that wraps it)
-from .params import Form
+from .params import Form, QuadratureConfig, RefineConfig
 
 # Beyond these bounds a 2D Newton iterate is recorded as divergent.
 _DIVERGENCE_Y = 10.0
@@ -49,39 +49,6 @@ class AxisConfinementRecord:
     final_z: float
     final_modulus: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class RefineConfig:
-    """Knobs for Newton refinement (1D on-axis and 2D confinement runs).
-
-    ``residual_mode``: with "abs" the iteration stops at |Q| < residual_tol;
-    with "rel" the tolerance is scaled by the local oscillation envelope,
-    which keeps the convergence test meaningful at large positive z where
-    the whole function is exponentially small.
-
-    Accepted ranges (``ValueError`` otherwise): ``residual_tol`` finite and
-    > 0, ``max_iterations`` >= 1, ``max_backtracks`` >= 0, ``max_abs_z`` > 0
-    (inf allowed, NaN not), ``residual_mode`` "abs" or "rel".
-    """
-
-    residual_tol: float = 1e-9
-    max_iterations: int = 25
-    max_backtracks: int = 6
-    max_abs_z: float = 12.0
-    residual_mode: str = "abs"
-    quadrature: QuadratureConfig = field(
-        default_factory=lambda: QuadratureConfig(target_abs_tol=1e-11))
-
-    def __post_init__(self):
-        if self.residual_mode not in ("abs", "rel"):
-            raise ValueError("residual_mode must be 'abs' or 'rel'")
-        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0.0):
-            raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol!r}")
-        if not self.max_abs_z > 0.0:
-            raise ValueError(f"max_abs_z must be positive, got {self.max_abs_z!r}")
-        if self.max_iterations < 1 or self.max_backtracks < 0:
-            raise ValueError("max_iterations must be at least 1 and max_backtracks at least 0")
 
 
 def _q_axis(z: float, cfg: QuadratureConfig):

@@ -169,7 +169,7 @@ def _fake_scan(abs_q):
 
 
 def test_scan_summary_skips_non_finite_cells(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("swallowtail.cli.modulus_scan", _fake_scan([math.nan, 0.5]))
+    monkeypatch.setattr("swallowtail.zeros.modulus_scan", _fake_scan([math.nan, 0.5]))
     env = run_json(capsys, ["scan", "--y-range", "0:0", "--z-range=-2:1", "--ny", "1",
                             "--nz", "2", "--out", str(tmp_path / "grid.csv")])
     assert env["results"]["min_abs_q"] == 0.5
@@ -178,7 +178,7 @@ def test_scan_summary_skips_non_finite_cells(tmp_path, capsys, monkeypatch):
 
 
 def test_scan_without_a_finite_cell_exit_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("swallowtail.cli.modulus_scan", _fake_scan([math.nan, math.inf]))
+    monkeypatch.setattr("swallowtail.zeros.modulus_scan", _fake_scan([math.nan, math.inf]))
     code, out, err = run_cli(capsys, ["scan", "--y-range", "0:0", "--z-range=-2:1",
                                       "--ny", "1", "--nz", "2",
                                       "--out", str(tmp_path / "grid.csv")])
@@ -333,7 +333,7 @@ def test_refine_and_confine_evaluate_one_prediction(capsys, monkeypatch):
         calls.append(m)
         return formula(branch, m, form)
 
-    for module in (asymptotics, cli, zeros):
+    for module in (asymptotics, zeros):
         monkeypatch.setattr(module, "predicted_zero", spy)
     assert run_cli(capsys, ["zeros", "refine", "--branch", "neg", "--m", "3"])[0] == 0
     assert run_cli(capsys, ["zeros", "confine", "--y0", "0.2", "--branch", "pos",
@@ -344,6 +344,15 @@ def test_refine_and_confine_evaluate_one_prediction(capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["zeros", "refine", "--branch", "pos", "--m", "1000000"])
     assert code == 2 and "exceeds the feasible range" in err
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("command", [["refine"], ["confine", "--y0", "0.3"]])
+def test_m_beyond_float_range_exits_2(capsys, command):
+    # (2m + 1) overflows a float; both commands evaluate the formula for m
+    code, out, err = run_cli(capsys, ["zeros", *command, "--branch", "pos",
+                                      "--m", str(10 ** 400)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_every_success_envelope_validates(capsys, tmp_path):
@@ -380,6 +389,33 @@ def test_cli_import_leaves_jsonschema_unloaded():
         capture_output=True, text=True, timeout=120, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cold_start_loads_numpy_only_to_compute():
+    predict = ["zeros", "predict", "--branch", "neg", "--m-max", "3", "--form", "S"]
+    runs = {
+        "import": ["-c", "import swallowtail"],
+        "predict": ["-m", "swallowtail", *predict],
+        "version": ["-m", "swallowtail", "--version"],
+        "help": ["-m", "swallowtail", "--help"],
+        # what the [project.scripts] wrapper runs
+        "entry point": ["-c", f"import sys; from swallowtail.cli import main; "
+                              f"sys.exit(main({predict!r}))"],
+        "eval": ["-m", "swallowtail", "eval", "--x", "0", "--y", "0", "--z", "0",
+                 "--tol", "1e-6"],
+    }
+    # all children at once; -X importtime lists every module each one imports
+    procs = {name: subprocess.Popen([sys.executable, "-X", "importtime", *argv],
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                    text=True, env=CHILD_ENV)
+             for name, argv in runs.items()}
+    loaded = {}
+    for name, proc in procs.items():
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        loaded[name] = any(line.rsplit("|", 1)[-1].strip() == "numpy"
+                           for line in err.splitlines() if line.startswith("import time:"))
+    assert loaded == {name: name == "eval" for name in runs}
 
 
 def test_closed_stdout_exits_1_without_traceback():

@@ -251,14 +251,14 @@ def test_one_root_solve_per_gamma_and_sign(monkeypatch, lam, gamma, sign):
     # the geometry sequence: saddles, the regime's asymptotics and all 8
     # branches, which all ask for the same quartic
     calls = []
-    roots = saddle_mod.np.roots
+    roots = np.roots
 
     def counted(p):
         calls.append(p)
         return roots(p)
 
     saddle_mod._solve_saddles.cache_clear()
-    monkeypatch.setattr(saddle_mod.np, "roots", counted)
+    monkeypatch.setattr(np, "roots", counted)
     sp = ScaledParams(lam, gamma, sign)
     sset = saddles(sp)
     if sign is ZSign.NEGATIVE:
