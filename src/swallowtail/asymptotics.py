@@ -249,20 +249,3 @@ def below_caustic_obstruction(sp: ScaledParams) -> ObstructionReport:
     blocked = abs(phase_sum) > 1e-12 * scale and abs(curvature_sum) > 1e-12 * max(1.0, abs(fpp1))
     return ObstructionReport(t1, t2, phase_sum, curvature_sum, fpp1, fpp2, blocked)
 
-
-__all__ = [
-    "Branch",
-    "ZeroPrediction",
-    "SaddleContribution",
-    "ObstructionReport",
-    "leading_q00",
-    "predicted_zero",
-    "predicted_zeros",
-    "pearcey_hill_y",
-    "pearcey_hill_zeros",
-    "axis_envelope",
-    "saddle_contributions",
-    "leading_from_contributions",
-    "dominance_gap",
-    "below_caustic_obstruction",
-]

@@ -22,6 +22,7 @@ import cmath
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +33,10 @@ from .params import Form, Params
 VALLEY_ANGLES = tuple(math.pi / 10.0 + 2.0 * math.pi * k / 5.0 for k in range(5))
 
 _PAIR_TOL = 1e-9          # conjugate matching / real-root detection
+
+# The root polish raises the largest root, about |gamma|^(1/3), to the 4th
+# power; below this bound |gamma|^(4/3) stays under a quarter of the float range.
+_MAX_ABS_GAMMA = (sys.float_info.max / 4.0) ** 0.75     # 5.49e230
 
 
 class ZSign(Enum):
@@ -63,8 +68,10 @@ class ScaledParams:
     def __post_init__(self):
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
             raise ValueError("lam must be positive and finite")
-        if not math.isfinite(self.gamma):
-            raise ValueError("gamma must be finite")
+        if not abs(self.gamma) <= _MAX_ABS_GAMMA:     # NaN fails too
+            raise ValueError(f"gamma must be finite with |gamma| <= {_MAX_ABS_GAMMA:.3g}, "
+                             "beyond which the saddle points overflow a float; "
+                             f"got {self.gamma!r}")
 
 
 @dataclass(frozen=True)
@@ -92,12 +99,11 @@ class SaddleSet:
     q2: float
 
     def real_roots(self):
-        """The two real saddles, sorted increasing (real-pair regime only)."""
-        reals = sorted(r.real for r in self.roots
-                       if abs(r.imag) <= _PAIR_TOL * max(1.0, abs(r)))
-        if len(reals) != 2:
-            raise ValueError("saddle set does not contain exactly two real roots")
-        return reals[0], reals[1]
+        """The two real saddles, sorted increasing (real-pair regime only):
+        the roots that the solve stored with an imaginary part of exactly 0."""
+        if self.regime is not Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR:
+            raise ValueError("saddle set is not in the real-pair regime")
+        return tuple(sorted(r.real for r in self.roots if r.imag == 0.0))
 
 
 @dataclass(frozen=True)

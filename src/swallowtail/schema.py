@@ -18,106 +18,77 @@ _COMPLEX_PAIR = {
     "type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2,
 }
 
+
+def _object(properties: dict) -> dict:
+    """A closed object schema: every listed property required, no other key."""
+    return {"type": "object", "required": list(properties), "properties": properties,
+            "additionalProperties": False}
+
+
 RESULT_SCHEMAS = {
-    "eval": {
-        "type": "object",
-        "required": ["re", "im", "abs", "abs_error_estimate", "subdivisions_used"],
-        "properties": {
-            "re": {"type": "number"},
-            "im": {"type": "number"},
-            "abs": {"type": "number", "minimum": 0},
-            "abs_error_estimate": {"type": "number", "minimum": 0},
-            "subdivisions_used": {"type": "integer", "minimum": 1},
+    "eval": _object({
+        "re": {"type": "number"},
+        "im": {"type": "number"},
+        "abs": {"type": "number", "minimum": 0},
+        "abs_error_estimate": {"type": "number", "minimum": 0},
+        "subdivisions_used": {"type": "integer", "minimum": 1},
+    }),
+    "saddles": _object({
+        "roots": {"type": "array", "items": _COMPLEX_PAIR,
+                  "minItems": 4, "maxItems": 4},
+        "regime": {"type": "string"},
+        "p": {"type": ["number", "null"]},
+        "q1": {"type": ["number", "null"]},
+        "q2": {"type": ["number", "null"]},
+        "caustic_gamma": {"type": "number"},
+        "lambda": {"type": "number"},
+        "gamma": {"type": "number"},
+    }),
+    "trace": _object({
+        "saddle_index": {"type": "integer", "minimum": 0, "maximum": 3},
+        "direction": {"type": "string", "enum": ["left", "right"]},
+        "terminal_sector": {"type": "integer", "minimum": 0, "maximum": 4},
+        "terminal_angle": {"type": "number"},
+        "points": {"type": "array", "items": _COMPLEX_PAIR, "minItems": 2},
+    }),
+    "zeros-predict": _object({
+        "predictions": {
+            "type": "array",
+            "items": _object({
+                "branch": {"type": "string"},
+                "m": {"type": "integer", "minimum": 0},
+                "z_predicted": {"type": "number"},
+                "form": {"type": "string", "enum": ["S", "Q"]},
+            }),
         },
-    },
-    "saddles": {
-        "type": "object",
-        "required": ["roots", "regime", "p", "q1", "q2", "caustic_gamma",
-                     "lambda", "gamma"],
-        "properties": {
-            "roots": {"type": "array", "items": _COMPLEX_PAIR,
-                      "minItems": 4, "maxItems": 4},
-            "regime": {"type": "string"},
-            "p": {"type": ["number", "null"]},
-            "q1": {"type": ["number", "null"]},
-            "q2": {"type": ["number", "null"]},
-            "caustic_gamma": {"type": "number"},
-            "lambda": {"type": "number"},
-            "gamma": {"type": "number"},
-        },
-    },
-    "trace": {
-        "type": "object",
-        "required": ["saddle_index", "direction", "terminal_sector",
-                     "terminal_angle", "points"],
-        "properties": {
-            "saddle_index": {"type": "integer", "minimum": 0, "maximum": 3},
-            "direction": {"type": "string", "enum": ["left", "right"]},
-            "terminal_sector": {"type": "integer", "minimum": 0, "maximum": 4},
-            "terminal_angle": {"type": "number"},
-            "points": {"type": "array", "items": _COMPLEX_PAIR, "minItems": 2},
-        },
-    },
-    "zeros-predict": {
-        "type": "object",
-        "required": ["predictions"],
-        "properties": {
-            "predictions": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "required": ["branch", "m", "z_predicted", "form"],
-                    "properties": {
-                        "branch": {"type": "string"},
-                        "m": {"type": "integer", "minimum": 0},
-                        "z_predicted": {"type": "number"},
-                        "form": {"type": "string", "enum": ["S", "Q"]},
-                    },
-                },
-            },
-        },
-    },
-    "zeros-refine": {
-        "type": "object",
-        "required": ["branch", "m", "seed_z", "z", "residual", "iterations"],
-        "properties": {
-            "branch": {"type": "string"},
-            "m": {"type": "integer", "minimum": 0},
-            "seed_z": {"type": "number"},
-            "z": {"type": "number"},
-            "residual": {"type": "number", "minimum": 0},
-            "iterations": {"type": "integer", "minimum": 0},
-        },
-    },
-    "zeros-confine": {
-        "type": "object",
-        "required": ["seed_y", "seed_z", "converged", "final_y", "final_z",
-                     "final_modulus", "iterations"],
-        "properties": {
-            "seed_y": {"type": "number"},
-            "seed_z": {"type": "number"},
-            "converged": {"type": "boolean"},
-            "final_y": {"type": "number"},
-            "final_z": {"type": "number"},
-            "final_modulus": {"type": "number", "minimum": 0},
-            "iterations": {"type": "integer", "minimum": 0},
-        },
-    },
-    "scan": {
-        "type": "object",
-        "required": ["out_path", "format", "ny", "nz", "min_abs_q",
-                     "argmin_y", "argmin_z", "flagged_cells"],
-        "properties": {
-            "out_path": {"type": "string"},
-            "format": {"type": "string", "enum": ["csv", "json"]},
-            "ny": {"type": "integer", "minimum": 1},
-            "nz": {"type": "integer", "minimum": 1},
-            "min_abs_q": {"type": "number"},
-            "argmin_y": {"type": "number"},
-            "argmin_z": {"type": "number"},
-            "flagged_cells": {"type": "integer", "minimum": 0},
-        },
-    },
+    }),
+    "zeros-refine": _object({
+        "branch": {"type": "string"},
+        "m": {"type": "integer", "minimum": 0},
+        "seed_z": {"type": "number"},
+        "z": {"type": "number"},
+        "residual": {"type": "number", "minimum": 0},
+        "iterations": {"type": "integer", "minimum": 0},
+    }),
+    "zeros-confine": _object({
+        "seed_y": {"type": "number"},
+        "seed_z": {"type": "number"},
+        "converged": {"type": "boolean"},
+        "final_y": {"type": "number"},
+        "final_z": {"type": "number"},
+        "final_modulus": {"type": "number", "minimum": 0},
+        "iterations": {"type": "integer", "minimum": 0},
+    }),
+    "scan": _object({
+        "out_path": {"type": "string"},
+        "format": {"type": "string", "enum": ["csv", "json"]},
+        "ny": {"type": "integer", "minimum": 1},
+        "nz": {"type": "integer", "minimum": 1},
+        "min_abs_q": {"type": "number"},
+        "argmin_y": {"type": "number"},
+        "argmin_z": {"type": "number"},
+        "flagged_cells": {"type": "integer", "minimum": 0},
+    }),
 }
 
 ENVELOPE_SCHEMA = {

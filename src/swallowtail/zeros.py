@@ -22,7 +22,8 @@ from .oracle import _integrate, _integrate_points
 from .oracle import eval_q  # noqa: F401  (zeros.eval_q stays importable for code that wraps it)
 from .params import Form, QuadratureConfig, RefineConfig
 
-# Beyond these bounds a 2D Newton iterate is recorded as divergent.
+# Beyond these bounds a 2D Newton iterate is recorded as divergent, and a
+# seed is refused.
 _DIVERGENCE_Y = 10.0
 _DIVERGENCE_Z = 14.0
 
@@ -133,12 +134,18 @@ def axis_confinement_scan(y0: float, branch: Branch, m: int,
     Non-convergence is data, not an error: the record carries where the
     iteration ended and the modulus there.  A trial point where the
     quadrature misses its tolerance ends the run at the last accepted
-    iterate.  A non-finite ``y0`` raises ``ValueError``.
+    iterate.  A non-finite ``y0`` raises ``ValueError``, and a seed outside
+    the box |y| <= 10, |z| <= 14, where an iterate counts as divergent,
+    raises ``SeedOutOfRange`` before any evaluation.
     """
     if not math.isfinite(y0):
         raise ValueError(f"y0 must be finite, got {y0!r}")
     cfg = cfg or RefineConfig()
     seed_z = predicted_zero(branch, m).z_predicted
+    if abs(y0) > _DIVERGENCE_Y or abs(seed_z) > _DIVERGENCE_Z:
+        raise SeedOutOfRange(
+            f"seed (y, z) = ({y0:.6g}, {seed_z:.6g}) lies outside the box "
+            f"|y| <= {_DIVERGENCE_Y:g}, |z| <= {_DIVERGENCE_Z:g} of 2D Newton")
     quad = cfg.quadrature
     point = np.array([y0, seed_z])      # (y, z)
     q, f, jac = _q_and_jacobian(*point, quad)

@@ -20,6 +20,7 @@ from swallowtail import (
     leading_q00,
     pearcey_hill_y,
     pearcey_hill_zeros,
+    predicted_zero,
     predicted_zeros,
     saddle_contributions,
 )
@@ -125,6 +126,10 @@ def test_spacing_ratio_decreases_to_one():
 def test_negative_m_max_rejected():
     with pytest.raises(ValueError):
         predicted_zeros(Branch.POSITIVE_Z, -1)
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        predicted_zero(Branch.NEGATIVE_Z, -1)
+    with pytest.raises(ValueError, match="n_max must be nonnegative"):
+        pearcey_hill_zeros(-1)
 
 
 def test_oracle_sign_change_brackets_each_predicted_zero(cfg):

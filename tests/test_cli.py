@@ -326,6 +326,40 @@ def test_huge_z_exits_0_or_2_without_traceback(command, z):
     assert proc.returncode == 0 or proc.stderr.splitlines()[-1].startswith("error: ")
 
 
+@pytest.mark.parametrize("command", [["saddles"],
+                                     ["trace", "--saddle", "0", "--direction", "left"]])
+def test_huge_gamma_exits_2_without_warnings(command):
+    # gamma = 1e300 overflowed the root polish: NaN roots, numpy warnings and
+    # a bare NaN token on stdout (saddles) or exit 4 (trace); a child process,
+    # so that a warning shows on stderr
+    proc = subprocess.run([sys.executable, "-m", "swallowtail", *command, "--y=1e300",
+                           "--z=1"], capture_output=True, text=True, timeout=120,
+                          env=CHILD_ENV)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "gamma" in proc.stderr
+
+
+def test_confine_seed_outside_the_box_exits_2(capsys):
+    # the seed z = 29.97 of pos m = 12 lies beyond |z| = 14, the divergence box
+    code, out, err = run_cli(capsys, ["zeros", "confine", "--y0", "0.3", "--branch", "pos",
+                                      "--m", "12"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_result_objects_are_closed(capsys):
+    from jsonschema import ValidationError
+    env = run_json(capsys, ["eval", "--x", "0", "--y", "0", "--z", "0"])
+    env["results"]["stray"] = 0.0
+    with pytest.raises(ValidationError, match="stray"):
+        validate_envelope(env)
+    env = run_json(capsys, ["zeros", "predict", "--branch", "pos", "--m-max", "1"])
+    env["results"]["predictions"][1]["stray"] = 0.0
+    with pytest.raises(ValidationError, match="stray"):
+        validate_envelope(env)
+
+
 def test_refine_and_confine_evaluate_one_prediction(capsys, monkeypatch):
     calls, formula = [], asymptotics.predicted_zero
 

@@ -224,6 +224,8 @@ def test_form_mismatch_rejected():
         eval_s(Params(0.0, 0.0, 0.0, Form.Q))
     with pytest.raises(ValueError):
         eval_q_moment(Params(0.0, 0.0, 0.0), 4)
+    with pytest.raises(ValueError, match="eval_q_moment expects form=Q"):
+        eval_q_moment(Params(0.0, 0.0, 0.0, Form.S), 1)
 
 
 def test_bad_ray_angles_rejected(cfg):

@@ -1,4 +1,5 @@
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +45,19 @@ def test_configs_are_one_object_on_every_path():
     assert (swallowtail.QuadratureConfig is params.QuadratureConfig
             is oracle.QuadratureConfig is zeros.QuadratureConfig)
     assert swallowtail.RefineConfig is params.RefineConfig is zeros.RefineConfig
+
+
+def test_benchmark_instruments_existing_library_names(monkeypatch):
+    # the benchmark's traced run wraps these module attributes by name; a
+    # library change that removes one must fail here, not only in the benchmark
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import inprocess  # noqa: F401
+    import tracing
+
+    for module, attr, _ in tracing.INSTRUMENTED:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

@@ -9,6 +9,7 @@ from swallowtail import asymptotics
 from swallowtail import (
     DegenerateScaling,
     Direction,
+    Form,
     Params,
     PathStalled,
     Regime,
@@ -59,6 +60,24 @@ def test_scale_rejects_degenerate_and_off_plane():
         scale(Params(0.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         scale(Params(0.5, 1.0, 1.0))
+    with pytest.raises(ValueError, match="scale expects form=Q"):
+        scale(Params(0.0, 1.0, 1.0, Form.S))
+    for lam in (0.0, math.inf):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            ScaledParams(lam, 0.0, ZSign.POSITIVE)
+
+
+@pytest.mark.parametrize("gamma", [1e300, -1e300])
+@pytest.mark.parametrize("sign", list(ZSign))
+def test_scaled_params_reject_gamma_beyond_the_solvable_range(gamma, sign):
+    # the root polish raises the largest root, about |gamma|^(1/3), to the
+    # 4th power, which overflows from about 5.5e230 on: the roots were NaN
+    with pytest.raises(ValueError, match="gamma"):
+        ScaledParams(1.0, gamma, sign)
+    with pytest.raises(ValueError, match="gamma"):
+        scale(Params(0.0, gamma, sign.value))
+    near = math.copysign(1e230, gamma)
+    assert saddles(ScaledParams(1.0, near, sign)).regime is Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR
 
 
 # ---------------------------------------------------------------- roots
@@ -153,6 +172,9 @@ def test_real_roots_accessor():
     assert t1 < t2
     with pytest.raises(ValueError):
         saddles(ScaledParams(1.0, 0.0, ZSign.POSITIVE)).real_roots()
+    # on the caustic the real pair has collided: the set is degenerate
+    with pytest.raises(ValueError, match="real-pair regime"):
+        saddles(ScaledParams(1.0, caustic_gamma(), ZSign.POSITIVE)).real_roots()
 
 
 def _reference_saddles(sp):

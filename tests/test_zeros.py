@@ -161,6 +161,31 @@ def test_confinement_rejects_non_finite_seed(y0):
         axis_confinement_scan(y0, Branch.POSITIVE_Z, 0)
 
 
+@pytest.mark.parametrize("y0,branch,m", [
+    (0.3, Branch.POSITIVE_Z, 12),        # seed z = 29.97, once certified at y = 0.3
+    (0.3, Branch.POSITIVE_Z, 8),         # seed z = 22.09, once certified at y = 0.041
+    (0.3, Branch.POSITIVE_Z, 10 ** 12),  # seed z = 1.57e10, where |Q| reads 0.0
+    (0.3, Branch.NEGATIVE_Z, 9),         # seed z = -18.47, once divergent after one step
+    (10.5, Branch.POSITIVE_Z, 0),
+    (-10.5, Branch.NEGATIVE_Z, 0),
+])
+def test_confinement_rejects_seed_outside_the_box(monkeypatch, y0, branch, m):
+    # an iterate outside |y| <= 10, |z| <= 14 counts as divergent, so a seed
+    # there is refused before any evaluation
+    def no_evaluation(*args):
+        raise AssertionError("evaluated a seed outside the box")
+
+    monkeypatch.setattr(zeros, "_integrate", no_evaluation)
+    with pytest.raises(SeedOutOfRange, match="outside the box"):
+        axis_confinement_scan(y0, branch, m)
+
+
+@pytest.mark.parametrize("branch,m", [(Branch.POSITIVE_Z, 4), (Branch.NEGATIVE_Z, 6)])
+def test_confinement_runs_the_outermost_seeds_inside_the_box(branch, m):
+    rec = axis_confinement_scan(0.3, branch, m)
+    assert abs(rec.seed_z) <= 14.0 and rec.iterations > 0
+
+
 def test_confinement_record_shape_on_divergence():
     # a far-off seed with a tiny iteration budget ends as data, not an error
     cfg = RefineConfig(max_iterations=1)
@@ -323,6 +348,8 @@ def test_scan_validation():
         modulus_scan((0.0, 1.0), (0.0, 1.0), 0, 2)
     with pytest.raises(ValueError):
         modulus_scan((0.0, 1.0), (0.0, 1.0), 1, 2)   # non-degenerate range, 1 row
+    with pytest.raises(ValueError, match="single-column scan"):
+        modulus_scan((0.0, 1.0), (0.0, 1.0), 2, 1)   # non-degenerate range, 1 column
 
 
 @pytest.mark.parametrize("y_range, z_range", [
