@@ -23,11 +23,9 @@ import sys
 
 from . import __version__
 from .errors import (
-    DegenerateScaling,
     DomainError,
     NoConvergence,
     PathStalled,
-    SeedOutOfRange,
     ToleranceNotReached,
 )
 from .params import Form, Params, QuadratureConfig, RefineConfig
@@ -64,7 +62,6 @@ def _quad_config(args) -> QuadratureConfig:
     return QuadratureConfig(
         target_abs_tol=args.tol,
         max_subdivisions=args.max_subdivisions,
-        truncation_safety=args.safety,
     )
 
 
@@ -87,8 +84,6 @@ def _add_quad_flags(parser):
     parser.add_argument("--max-subdivisions", type=int,
                         default=QuadratureConfig.max_subdivisions,
                         help="panel budget per contour ray (default %(default)s)")
-    parser.add_argument("--safety", type=float, default=QuadratureConfig.truncation_safety,
-                        help="truncation safety factor (default %(default)s)")
 
 
 def _scaled(args):
@@ -335,7 +330,7 @@ def main(argv=None) -> int:
         # point stdout at devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (ValueError, DomainError, DegenerateScaling, SeedOutOfRange) as exc:
+    except (ValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ToleranceNotReached, NoConvergence) as exc:

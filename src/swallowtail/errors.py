@@ -17,7 +17,11 @@ class ToleranceNotReached(SwallowtailError):
         self.partial = partial
 
 
-class DegenerateScaling(SwallowtailError):
+class DomainError(SwallowtailError):
+    """Input outside the mathematical domain of the operation."""
+
+
+class DegenerateScaling(DomainError):
     """The large-parameter rescaling is undefined (z = 0)."""
 
 
@@ -40,13 +44,9 @@ class RegimeError(SwallowtailError):
     """Operation invoked outside the saddle regime it is defined for."""
 
 
-class DomainError(SwallowtailError):
-    """Input outside the mathematical domain of the operation."""
-
-
 class NoConvergence(SwallowtailError):
     """Iterative refinement failed to converge within the iteration budget."""
 
 
-class SeedOutOfRange(SwallowtailError):
+class SeedOutOfRange(DomainError):
     """Refinement seed lies outside the configured feasible range."""

@@ -37,6 +37,9 @@ from .params import Form, Params, QuadratureConfig, s_to_q
 from .saddle import VALLEY_ANGLES
 
 DEFAULT_RAY_ANGLES = (VALLEY_ANGLES[2], VALLEY_ANGLES[0])
+# the rays' directions, outgoing one first, and the smaller of their sin(5 theta)
+_RAY_W = np.exp(1j * np.array(DEFAULT_RAY_ANGLES[::-1]))
+_RAY_SIN5 = min(math.sin(5.0 * theta) for theta in DEFAULT_RAY_ANGLES)
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
 _XGK = np.array([
@@ -255,8 +258,7 @@ def _worst_first(err, grp, worst, excess, room):
     return cand[order[(before < excess[g]) & (rank < room[g])]]
 
 
-def _integrate_points(x, y, z, ks, cfg: QuadratureConfig,
-                      ray_angles=DEFAULT_RAY_ANGLES, radius_factor: float = 1.0):
+def _integrate_points(x, y, z, ks, cfg: QuadratureConfig):
     """Integrate t^k exp[i(t^5/5 + x t^3/3 + y t^2/2 + z t)] at N points.
 
     ``x``, ``y``, ``z`` are equal-length arrays of any length; the kernel
@@ -268,37 +270,29 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig,
     excess, within its own ``max_subdivisions``.  Groups never read each
     other's panels, and panels are evaluated ``_PANEL_BLOCK`` at a time, so
     a point's result does not depend on the other points in the call.
-
-    ``ray_angles`` and ``radius_factor`` exist for validation: perturbing the
-    rays within the decay sectors or enlarging the truncation radius must not
-    change the values beyond the reported estimates.
+    The rays are those of ``DEFAULT_RAY_ANGLES``; ``_integrate_pass`` takes
+    its rays as inputs.
 
     Returns per point: values and estimates (both N x len(ks)), the panel
     count and whether both rays met their budget.
     """
-    theta_in, theta_out = ray_angles
-    sin5 = min(math.sin(5.0 * theta_in), math.sin(5.0 * theta_out))
-    if sin5 <= 1e-6:
-        raise ValueError("ray angles must lie strictly inside decay sectors")
-    if radius_factor < 1.0:
-        raise ValueError("radius_factor below 1 would void the tail bound")
-    w = np.exp(1j * np.array([theta_out, theta_in]))
     # no points still make one (empty) pass, so the four outputs keep their shapes
     passes = [_integrate_pass(x[i:i + _POINT_PASS], y[i:i + _POINT_PASS], z[i:i + _POINT_PASS],
-                              ks, cfg, w, sin5, radius_factor)
+                              ks, cfg, _RAY_W, _RAY_SIN5)
               for i in range(0, x.size, _POINT_PASS) or (0,)]
     return tuple(np.concatenate(columns) for columns in zip(*passes))
 
 
-def _integrate_pass(x, y, z, ks, cfg, w, sin5, radius_factor):
+def _integrate_pass(x, y, z, ks, cfg, w, sin5):
     """``_integrate_points`` on one pass of at most ``_POINT_PASS`` points;
-    w holds the two rays' directions and sin5 the smaller sin(5 theta)."""
+    w holds the two rays' directions, outgoing one first, and sin5 the
+    smaller sin(5 theta), which must be positive."""
     safety = cfg.truncation_safety
     tol = cfg.target_abs_tol
     log_target = math.log(2.0 * safety / tol)
     # beyond r = 1, r^k <= r^max(ks): the largest power's radius covers every tail
     k_max = max(ks)
-    radius = _truncation_radii(x, y, z, k_max, log_target, sin5) * radius_factor
+    radius = _truncation_radii(x, y, z, k_max, log_target, sin5)
     trunc_bound = tol / safety          # both ray tails combined
     ray_budget = 0.5 * tol * (1.0 - 1.0 / safety)
 

@@ -17,9 +17,10 @@ numpy, so the CLI reads its flag defaults from them without loading it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 
 class Form(Enum):
@@ -102,22 +103,23 @@ class QuadratureConfig:
     """Tolerance and budget knobs for the contour evaluator.
 
     Accepted ranges (``ValueError`` otherwise): ``target_abs_tol`` finite and
-    > 0, ``max_subdivisions`` >= 8, ``truncation_safety`` > 1 (NaN not), and
-    2 * truncation_safety / target_abs_tol finite, since the truncation
-    radius solves for its logarithm.
+    > 0 with 2 * truncation_safety / target_abs_tol finite, since the
+    truncation radius solves for its logarithm, and ``max_subdivisions`` an
+    integer >= 8.
+
+    ``truncation_safety`` is fixed: the two ray tails together get
+    target_abs_tol / truncation_safety of the error and each ray's panels
+    half of the rest, so the result is certified for any factor above 1.
     """
 
     target_abs_tol: float = 1e-10
     max_subdivisions: int = 1500   # panel budget per ray
-    truncation_safety: float = 10.0
+    truncation_safety: ClassVar[float] = 10.0
 
     def __post_init__(self):
         if not (self.target_abs_tol > 0.0 and math.isfinite(self.target_abs_tol)):
             raise ValueError("target_abs_tol must be a positive finite number")
-        if self.max_subdivisions < 8:
-            raise ValueError("max_subdivisions must be at least 8")
-        if not self.truncation_safety > 1.0:
-            raise ValueError("truncation_safety must exceed 1")
+        _check_count("max_subdivisions", self.max_subdivisions, 8)
         if not math.isfinite(2.0 * self.truncation_safety / self.target_abs_tol):
             raise ValueError("2 * truncation_safety / target_abs_tol must be finite")
 
@@ -132,13 +134,16 @@ class RefineConfig:
     the whole function is exponentially small.
 
     Accepted ranges (``ValueError`` otherwise): ``residual_tol`` finite and
-    > 0, ``max_iterations`` >= 1, ``max_backtracks`` >= 0, ``max_abs_z`` > 0
-    (inf allowed, NaN not), ``residual_mode`` "abs" or "rel".
+    > 0, ``max_iterations`` an integer >= 1, ``max_abs_z`` > 0 (inf allowed,
+    NaN not), ``residual_mode`` "abs" or "rel".
+
+    ``max_backtracks`` is fixed: a Newton step is halved at most that many
+    times before it is taken as it stands.
     """
 
     residual_tol: float = 1e-9
     max_iterations: int = 25
-    max_backtracks: int = 6
+    max_backtracks: ClassVar[int] = 6
     max_abs_z: float = 12.0
     residual_mode: str = "abs"
     quadrature: QuadratureConfig = field(
@@ -151,5 +156,13 @@ class RefineConfig:
             raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol!r}")
         if not self.max_abs_z > 0.0:
             raise ValueError(f"max_abs_z must be positive, got {self.max_abs_z!r}")
-        if self.max_iterations < 1 or self.max_backtracks < 0:
-            raise ValueError("max_iterations must be at least 1 and max_backtracks at least 0")
+        _check_count("max_iterations", self.max_iterations, 1)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (numpy's too, bool
+    not) of at least ``least``: NaN, inf and fractions pass a bare ``<``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")

@@ -207,6 +207,9 @@ def test_degenerate_scaling_exit_2(capsys):
     code, _, err = run_cli(capsys, ["saddles", "--y", "1", "--z", "0"])
     assert code == 2
     assert "error" in err
+    # exit 2 maps ValueError and DomainError, and these two are DomainErrors
+    assert issubclass(swallowtail.DegenerateScaling, swallowtail.DomainError)
+    assert issubclass(swallowtail.SeedOutOfRange, swallowtail.DomainError)
 
 
 def test_tolerance_not_reached_exit_3(capsys):
@@ -250,9 +253,6 @@ def test_scan_non_finite_range_exit_2(capsys, tmp_path, y_range, z_range):
 
 
 @pytest.mark.parametrize("argv", [
-    ["eval", "--x", "0", "--y", "0", "--z", "1", "--safety", "inf"],
-    ["eval", "--x", "0", "--y", "0", "--z", "1", "--safety", "1e300"],
-    ["eval", "--x", "0", "--y", "0", "--z", "1", "--safety", "nan"],
     ["zeros", "refine", "--branch", "pos", "--m", "9", "--max-abs-z", "nan"],
     ["zeros", "refine", "--branch", "neg", "--m", "0", "--residual-tol", "nan"],
     ["zeros", "refine", "--branch", "neg", "--m", "0", "--residual-tol=-1"],
@@ -281,8 +281,7 @@ def test_infinite_max_abs_z_is_refused_by_name(capsys):
 def test_flag_defaults_are_the_library_defaults():
     quad, newton = QuadratureConfig(), RefineConfig()
     trace = inspect.signature(trace_steepest).parameters
-    library = {"tol": quad.target_abs_tol, "max_subdivisions": quad.max_subdivisions,
-               "safety": quad.truncation_safety}
+    library = {"tol": quad.target_abs_tol, "max_subdivisions": quad.max_subdivisions}
     expected = {
         ("eval", "--x", "0", "--y", "0", "--z", "1"): {**library, "form": "Q"},
         ("saddles", "--y", "0", "--z", "1"): {},

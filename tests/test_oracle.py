@@ -14,6 +14,7 @@ from swallowtail import (
     eval_q,
     eval_q_moment,
     eval_s,
+    oracle,
 )
 from swallowtail.oracle import (
     DEFAULT_RAY_ANGLES,
@@ -21,6 +22,7 @@ from swallowtail.oracle import (
     _RADIUS_BATCH,
     _cexp,
     _integrate,
+    _integrate_pass,
     _integrate_points,
     _truncation_radii,
     _truncation_radius,
@@ -94,26 +96,33 @@ def test_realness_on_y_zero_random(rng, cfg_fast):
         assert abs(r.value.imag) <= 2.0 * r.abs_error_estimate
 
 
-def _kernel_at(x, y, z, cfg, **controls):
-    """Value, estimate and success flag of the kernel's k = 0 result at one point."""
-    values, estimates, _, ok = _integrate_points(
-        np.array([x]), np.array([y]), np.array([z]), (0,), cfg, **controls)
+def _kernel_at(x, y, z, cfg, rays=None):
+    """Value, estimate and success flag of the kernel's k = 0 result at one
+    point, on the rays (w, sin5) of ``_integrate_pass`` if given."""
+    point = (np.array([x]), np.array([y]), np.array([z]), (0,), cfg)
+    values, estimates, _, ok = _integrate_pass(*point, *rays) if rays else _integrate_points(*point)
     return values[0, 0], estimates[0, 0], ok[0]
 
 
 def test_contour_independence(cfg):
-    angles = (0.88 * math.pi, 0.12 * math.pi)
+    # rays perturbed within the decay sectors: in at 0.88 pi, out at 0.12 pi
+    theta_in, theta_out = 0.88 * math.pi, 0.12 * math.pi
+    rays = (np.exp(1j * np.array([theta_out, theta_in])),
+            min(math.sin(5.0 * theta_in), math.sin(5.0 * theta_out)))
     for (x, y, z) in [(0.0, 0.0, 0.0), (0.5, 1.0, -2.0), (0.0, 2.0, 3.0)]:
         a = eval_q(Params(x, y, z), cfg)
-        b, b_err, ok = _kernel_at(x, y, z, cfg, ray_angles=angles)
+        b, b_err, ok = _kernel_at(x, y, z, cfg, rays)
         assert ok
         assert abs(a.value - b) <= a.abs_error_estimate + b_err
 
 
-def test_truncation_soundness(cfg):
+def test_truncation_soundness(cfg, monkeypatch):
+    radii = oracle._truncation_radii
     for (x, y, z) in [(0.0, 0.0, 0.0), (1.0, -1.0, 2.0), (0.0, 1.5, -3.0)]:
         a = eval_q(Params(x, y, z), cfg)
-        b, _, ok = _kernel_at(x, y, z, cfg, radius_factor=2.0)
+        with monkeypatch.context() as m:    # twice the truncation radius
+            m.setattr(oracle, "_truncation_radii", lambda *args: radii(*args) * 2.0)
+            b, _, ok = _kernel_at(x, y, z, cfg)
         assert ok
         assert abs(a.value - b) < cfg.target_abs_tol
 
@@ -199,15 +208,14 @@ def test_tolerance_not_reached_carries_partial():
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(target_abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_subdivisions=4)
-    with pytest.raises(ValueError):
-        QuadratureConfig(truncation_safety=1.0)
+    # a count must be an integer: inf once bisected without bound, NaN
+    # never bisected at all
+    for budget in (4, math.inf, math.nan, 8.5, True):
+        with pytest.raises(ValueError):
+            QuadratureConfig(max_subdivisions=budget)
+    assert QuadratureConfig(max_subdivisions=np.int64(8)).max_subdivisions == 8
     # 2 * safety / tol must stay finite: an infinite log target once cut the
     # rays at r = 1 and returned a wrong value marked "ok"
-    for safety in (math.inf, 1e300, math.nan):
-        with pytest.raises(ValueError):
-            QuadratureConfig(truncation_safety=safety)
     with pytest.raises(ValueError):
         QuadratureConfig(target_abs_tol=5e-324)
 
@@ -228,19 +236,6 @@ def test_form_mismatch_rejected():
         eval_q_moment(Params(0.0, 0.0, 0.0, Form.S), 1)
 
 
-def test_bad_ray_angles_rejected(cfg):
-    # pi/4 sits in a growth sector; pi/5 is a sector boundary
-    with pytest.raises(ValueError):
-        _kernel_at(0.0, 0.0, 0.0, cfg, ray_angles=(math.pi / 4.0, math.pi / 10.0))
-    with pytest.raises(ValueError):
-        _kernel_at(0.0, 0.0, 0.0, cfg, ray_angles=(9 * math.pi / 10.0, math.pi / 5.0))
-
-
-def test_short_truncation_radius_rejected(cfg):
-    with pytest.raises(ValueError, match="radius_factor"):
-        _kernel_at(0.0, 0.0, 0.0, cfg, radius_factor=0.5)
-
-
 def test_no_points_give_four_empty_outputs(cfg):
     values, estimates, panels, ok = _integrate_points(
         np.array([]), np.array([]), np.array([]), (0, 1), cfg)
@@ -248,15 +243,6 @@ def test_no_points_give_four_empty_outputs(cfg):
     assert panels.shape == ok.shape == (0,)
     assert values.dtype == complex and estimates.dtype == float
     assert panels.dtype.kind == "i" and ok.dtype == bool
-
-
-def test_no_points_still_validate_the_controls(cfg):
-    empty = np.array([])
-    with pytest.raises(ValueError, match="decay sectors"):
-        _integrate_points(empty, empty, empty, (0,), cfg,
-                          ray_angles=(math.pi / 4.0, math.pi / 10.0))
-    with pytest.raises(ValueError, match="radius_factor"):
-        _integrate_points(empty, empty, empty, (0,), cfg, radius_factor=0.5)
 
 
 def test_estimates_bound_actual_error_on_axis(cfg):

@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import swallowtail
-from swallowtail import oracle, params, zeros
+from swallowtail import cli, oracle, params, zeros
 
 # the names the package exported when its __init__ imported every module
 EXPORTS = [
@@ -61,3 +64,38 @@ def test_benchmark_instruments_existing_library_names(monkeypatch):
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def _options(parser, command=""):
+    """Each (sub)command's option strings but -h/--help, walked from ``parser``."""
+    found = {command: [opt for action in parser._actions
+                       if not isinstance(action, argparse._HelpAction)
+                       for opt in action.option_strings]}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(_options(sub, f"{command} {name}".strip()))
+    return found
+
+
+def test_every_settable_value_is_listed_here():
+    # a change that adds a knob edits this list, in plain sight
+    assert [f.name for f in dataclasses.fields(params.QuadratureConfig)] == [
+        "target_abs_tol", "max_subdivisions"]
+    assert [f.name for f in dataclasses.fields(params.RefineConfig)] == [
+        "residual_tol", "max_iterations", "max_abs_z", "residual_mode", "quadrature"]
+    assert list(inspect.signature(oracle._integrate_points).parameters) == [
+        "x", "y", "z", "ks", "cfg"]
+    quad = ["--tol", "--max-subdivisions"]
+    assert _options(cli.build_parser()) == {
+        "": ["--version"],
+        "eval": ["--x", "--y", "--z", "--form", *quad],
+        "saddles": ["--y", "--z"],
+        "trace": ["--y", "--z", "--saddle", "--direction", "--step", "--cutoff"],
+        "zeros": [],
+        "zeros predict": ["--branch", "--m-max", "--form"],
+        "zeros refine": ["--branch", "--m", "--residual-tol", "--residual-mode",
+                         "--max-abs-z", "--tol"],
+        "zeros confine": ["--y0", "--branch", "--m", "--modulus-tol", "--tol"],
+        "scan": ["--y-range", "--z-range", "--ny", "--nz", "--out", "--format", *quad],
+    }

@@ -50,6 +50,8 @@ def test_form_tags_are_enforced():
         s_to_q(Params(1.0, 1.0, 1.0, Form.Q))
     with pytest.raises(ValueError):
         q_to_s(Params(1.0, 1.0, 1.0, Form.S))
+    with pytest.raises(ValueError, match="form must be a Form"):
+        Params(0.0, 0.0, 0.0, "Q")
 
 
 def test_round_trip_is_identity(rng):

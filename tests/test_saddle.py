@@ -396,6 +396,14 @@ def test_trace_stalls_on_conjugate_saddle_connection():
     assert path.terminal_sector == 1
 
 
+def test_trace_stalls_when_its_step_budget_runs_out():
+    # 40000 steps of 1e-6 cover 0.04, far short of the cutoff radius 2
+    sp = ScaledParams(1.0, 0.0, ZSign.NEGATIVE)
+    with pytest.raises(PathStalled, match="step budget exhausted") as info:
+        trace_steepest(sp, 0, Direction.RIGHT, step=1e-6, cutoff_radius=2.0)
+    assert abs(abs(info.value.point - saddles(sp).roots[0]) - 0.04) < 1e-3
+
+
 def test_stall_names_where_the_trace_stopped():
     # the conjugate-connection stall above stops next to saddle 0, the
     # conjugate partner of saddle 3

@@ -86,6 +86,12 @@ def test_no_convergence_on_impossible_residual():
         refine_on_axis(predicted_zeros(Branch.POSITIVE_Z, 0)[0], cfg)
 
 
+def test_vanishing_derivative_stops_refinement(monkeypatch):
+    monkeypatch.setattr(zeros, "_q_axis", lambda z, quad: (1e-3, 0.0))
+    with pytest.raises(NoConvergence, match="vanishing derivative at z = -2.372996"):
+        refine_on_axis(predicted_zeros(Branch.NEGATIVE_Z, 0)[0])
+
+
 def test_refined_residual_certified_by_tight_oracle():
     refined = refine_on_axis(predicted_zeros(Branch.NEGATIVE_Z, 0)[0])
     r = eval_q(Params(0.0, 0.0, refined.z), QuadratureConfig(target_abs_tol=1e-11))
@@ -124,9 +130,12 @@ def test_refine_config_validation():
     for bad in ({"residual_tol": math.nan}, {"residual_tol": math.inf},
                 {"residual_tol": 0.0}, {"residual_tol": -1.0},
                 {"max_abs_z": math.nan}, {"max_abs_z": 0.0}, {"max_abs_z": -12.0},
-                {"max_iterations": 0}, {"max_backtracks": -1}):
+                {"max_iterations": 0}, {"max_iterations": math.nan},
+                {"max_iterations": math.inf}, {"max_iterations": 2.5},
+                {"max_iterations": True}):
         with pytest.raises(ValueError):
             RefineConfig(**bad)
+    assert RefineConfig(max_iterations=np.int64(1)).max_iterations == 1
 
 
 # ------------------------------------------------------- axis confinement
@@ -194,6 +203,19 @@ def test_confinement_record_shape_on_divergence():
     assert rec.seed_y == 3.0
     if rec.converged:
         assert rec.final_modulus < cfg.residual_tol
+
+
+@pytest.mark.parametrize("entry", [0.0, math.nan])
+def test_confinement_stops_where_newton_has_no_step(monkeypatch, entry):
+    # a singular Jacobian makes the solve raise, a NaN one makes its step
+    # non-finite: either run ends at its seed as a non-converged record
+    jac = np.full((2, 2), entry)
+    monkeypatch.setattr(zeros, "_q_and_jacobian",
+                        lambda y, z, quad: (1e-3 + 0j, np.array([1e-3, 0.0]), jac))
+    rec = axis_confinement_scan(0.3, Branch.POSITIVE_Z, 0)
+    assert not rec.converged
+    assert (rec.final_y, rec.final_z) == (rec.seed_y, rec.seed_z)
+    assert rec.iterations == 0
 
 
 @pytest.mark.parametrize("branch,accepted", [(Branch.POSITIVE_Z, 0), (Branch.NEGATIVE_Z, 3)])
