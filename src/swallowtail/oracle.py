@@ -14,8 +14,8 @@ Gauss-Kronrod rule on each truncated ray.
 One kernel, ``_integrate_points``, does all the quadrature.  It takes any
 number of points and sizes its own passes over them: in a pass each (point,
 ray) pair is a group of panels in one node array, refined by worst-first
-bisection within its own budget, so a grid scan passes all its cells in one
-call and a point's result does not depend on its neighbours.  Every per-node
+bisection within its own budget, so a caller passes many points in one call
+and a point's result does not depend on its neighbours.  Every per-node
 step is a vectorised numpy loop over the panels, exp(i*phase) included: it
 comes from one float64 tan (``_cexp``).
 ``_integrate`` is its one-point form.  The kernel integrates t^k times the
@@ -23,6 +23,12 @@ same exponential for several k at once; these moments feed the parameter
 derivatives used by Newton refinement:
 
     dQ/dz = i * moment_1,   dQ/dy = (i/2) * moment_2,   dQ/dx = (i/3) * moment_3.
+
+The moments obey an exact recurrence (``_moment_recurrence``), so the first
+four at one point fix every moment there, and with them Q nearby:
+``_y_jets`` gives Q(0, y, z) along a line of y values from the four at its
+centre, with a certified bound per value.  So a grid scan integrates at one
+point per line of cells instead of at every cell.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ToleranceNotReached
+from .errors import DomainError, ToleranceNotReached
 from .params import Form, Params, QuadratureConfig, s_to_q
 from .saddle import VALLEY_ANGLES
 
@@ -93,6 +99,14 @@ _POINT_PASS = 512
 # shared cores the array form costs about 250 us for 1 to 64 points, the
 # scalar form about 11 us per point.
 _RADIUS_BATCH = 24
+# A scan line's y jet (``_y_jets``): at most this many terms, and the share of
+# the tolerance its truncation may take
+_JET_TERMS = 40
+_JET_TAIL_SHARE = 0.05
+# log(T_J) - (J + 1) log(h/2) - F for J = 0 .. _JET_TERMS, as in ``_y_jets``
+_JET_TAIL_LOG = np.array([
+    math.log(0.4) - math.lgamma(j + 2) + 0.2 * (2 * j + 3) * math.log(10.0 / _RAY_SIN5)
+    + math.lgamma(0.2 * (2 * j + 3)) for j in range(_JET_TERMS + 1)])
 
 
 @dataclass(frozen=True)
@@ -274,12 +288,15 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig):
     its rays as inputs.
 
     Returns per point: values and estimates (both N x len(ks)), the panel
-    count and whether both rays met their budget.
+    count and whether both rays met their budget.  Where the integrand
+    overflows, a value or estimate is NaN or inf, without a warning; the
+    callers check finiteness.
     """
     # no points still make one (empty) pass, so the four outputs keep their shapes
-    passes = [_integrate_pass(x[i:i + _POINT_PASS], y[i:i + _POINT_PASS], z[i:i + _POINT_PASS],
-                              ks, cfg, _RAY_W, _RAY_SIN5)
-              for i in range(0, x.size, _POINT_PASS) or (0,)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        passes = [_integrate_pass(x[i:i + _POINT_PASS], y[i:i + _POINT_PASS],
+                                  z[i:i + _POINT_PASS], ks, cfg, _RAY_W, _RAY_SIN5)
+                  for i in range(0, x.size, _POINT_PASS) or (0,)]
     return tuple(np.concatenate(columns) for columns in zip(*passes))
 
 
@@ -350,11 +367,14 @@ def _integrate(x: float, y: float, z: float, ks,
                cfg: QuadratureConfig) -> tuple[EvalResult, ...]:
     """The kernel at one point: one EvalResult per k in ``ks``.
 
-    Raises ToleranceNotReached, carrying the k = ks[0] result, when either
-    ray misses its budget.
+    Raises DomainError when a value or an estimate is not finite (the
+    integrand overflowed), and ToleranceNotReached, carrying the k = ks[0]
+    result, when either ray misses its budget.
     """
     values, estimates, panels, ok = _integrate_points(
         np.array([x]), np.array([y]), np.array([z]), ks, cfg)
+    if not (np.isfinite(values).all() and np.isfinite(estimates).all()):
+        raise DomainError(f"the quadrature overflowed at (x, y, z) = ({x:g}, {y:g}, {z:g})")
     n = int(panels[0])
     results = tuple(EvalResult(complex(v), float(e), n)
                     for v, e in zip(values[0], estimates[0]))
@@ -365,6 +385,87 @@ def _integrate(x: float, y: float, z: float, ks,
             partial=results[0],
         )
     return results
+
+
+def _moment_recurrence(m, y, z, n: int, unit=1j):
+    """m_0 .. m_n, along the first axis, from m_0 .. m_3, the rows of m, on
+    the plane x = 0 by
+
+        m_{k+4} = i k m_{k-1} - y m_{k+1} - z m_k,
+
+    which integrating d/dt [t^k exp(i*phase)] along the contour gives (off
+    the plane, - x m_{k+2} joins it); y and z broadcast against a row.  With
+    unit=1, -|y| and -|z| it is the majorant recurrence, whose terms bound
+    those of the first in modulus.
+    """
+    m = list(m)
+    neg_y, neg_z = -y, -z
+    for k in range(n - 3):
+        step = neg_z * m[k] + neg_y * m[k + 1]
+        m.append(step + unit * k * m[k - 1] if k else step)
+    return np.array(m[:n + 1])
+
+
+def _y_jets(moments, estimates, y: float, z, deltas, tol: float):
+    """Q(0, y + d, z_l) for each offset d in ``deltas`` and line z_l in
+    ``z``, from the moments m_0 .. m_3 at each centre (0, y, z_l) and their
+    estimates e_0 .. e_3, both (lines x 4) as the kernel returns them.
+
+    Expanding exp(i d t^2/2) under the integral gives
+
+        Q(0, y + d, z) = sum_j (i d/2)^j / j! m_2j,
+
+    and the recurrence writes each m_2j as A_2j . (m_0 .. m_3).  So the terms
+    j <= J make W(d) . (m_0 .. m_3), within sum_k |W_k(d)| e_k + T_J + a
+    roundoff term of Q.  The tail T_J: with h = max |d| and Y = |y| + h,
+    |m_n| is at most the integral over both rays of r^n exp(-g(r)), g and s
+    as in ``_truncation_radius``, and the terms beyond J sum to at most
+    (h r^2/2)^(J+1) / (J+1)! exp(h r^2/2).  Half the quintic caps
+    Y r^2/2 + |z| r - s r^5/10 at F = 0.3 Y rb^2 + 0.8 |z| rb, its value at
+    its maximum rb or any larger r, and the other half integrates in closed
+    form:
+
+        T_J <= 2 (h/2)^(J+1) / (J+1)! e^F (10/s)^((2J+3)/5) Gamma((2J+3)/5) / 5.
+
+    Each line takes the least J <= ``_JET_TERMS`` with T_J within
+    ``_JET_TAIL_SHARE`` of ``tol``.  Returns the values and their bounds,
+    both (offsets x lines); a line with no such J has infinite bounds, and
+    one with a non-finite moment or estimate non-finite ones.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = float(np.abs(deltas).max())
+        big_y, abs_z = abs(y) + h, np.abs(z)
+        rb = _positive_roots(0.5 * _RAY_SIN5, 0.0, big_y, abs_z, 0.0) * (1.0 + 1e-9) + 1e-12
+        log_f = 0.3 * big_y * rb * rb + 0.8 * abs_z * rb
+        log_tail = _JET_TAIL_LOG + np.arange(1, _JET_TERMS + 2) * (math.log(0.5 * h) if h
+                                                                   else -math.inf)
+        meets = log_tail[:, None] + log_f <= math.log(_JET_TAIL_SHARE * tol)
+        has_terms = meets.any(axis=0)
+        terms = np.where(has_terms, meets.argmax(axis=0), 0)
+        count = int(terms.max()) + 1
+
+        # A_2j per line, next to its majorant, and zero beyond the line's J
+        start = np.broadcast_to(np.eye(4, dtype=complex)[:, None, None], (4, z.size, 2, 4))
+        a = _moment_recurrence(start, np.array([[y], [-abs(y)]]),
+                               np.stack((z, -abs_z), axis=1)[..., None], 2 * count - 2,
+                               unit=np.array([[1j], [1.0]]))[::2]
+        a[np.arange(count)[:, None] > terms] = 0.0
+        # c_j(d) = i^j r_j(d), with r_j = (d/2)^j / j! real and a row per
+        # offset, and i^j moved into A_2j exactly: so the products are real,
+        # and go line by line, as one product over every line can cross
+        # BLAS's threading threshold, whose threads cost far more than they save
+        r = np.cumprod(np.hstack((np.ones((deltas.size, 1)),
+                                  0.5 * deltas[:, None] / np.arange(1.0, count))), axis=1)
+        b = a[:, :, 0] * np.array([1, 1j, -1, -1j])[np.arange(count) % 4, None, None]
+        w = (r @ b.transpose(1, 0, 2).view(float)).view(complex)     # lines x offsets x 4
+        values = (w * moments[:, None]).sum(axis=2)
+        # each computed A_n is off by about n ulps of the majorant's A_n, and
+        # c, W and W . m add a few more: 16 (J + 2) ulps of it covers them all
+        roundoff = (terms[:, None] + 2) * 2.0 ** -48 * (
+            np.abs(r) @ (a[:, :, 1].real * np.abs(moments)).sum(axis=2).T[..., None])[..., 0]
+        bounds = ((np.abs(w) * estimates[:, None]).sum(axis=2)
+                  + np.exp(log_tail[terms] + log_f)[:, None] + roundoff)
+    return values.T, np.where(has_terms[:, None], bounds, np.inf).T
 
 
 def eval_q(p: Params, cfg: QuadratureConfig | None = None) -> EvalResult:

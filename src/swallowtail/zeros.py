@@ -10,6 +10,7 @@ zero with |final_y| materially above zero would refute axis confinement.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import Branch, ZeroPrediction, axis_envelope, predicted_zero
-from .errors import NoConvergence, SeedOutOfRange, ToleranceNotReached
-from .oracle import _integrate, _integrate_points
+from .errors import DomainError, NoConvergence, SeedOutOfRange, ToleranceNotReached
+from .oracle import _integrate, _integrate_points, _y_jets
 from .oracle import eval_q  # noqa: F401  (zeros.eval_q stays importable for code that wraps it)
 from .params import Form, QuadratureConfig, RefineConfig
 
@@ -133,10 +134,10 @@ def axis_confinement_scan(y0: float, branch: Branch, m: int,
 
     Non-convergence is data, not an error: the record carries where the
     iteration ended and the modulus there.  A trial point where the
-    quadrature misses its tolerance ends the run at the last accepted
-    iterate.  A non-finite ``y0`` raises ``ValueError``, and a seed outside
-    the box |y| <= 10, |z| <= 14, where an iterate counts as divergent,
-    raises ``SeedOutOfRange`` before any evaluation.
+    quadrature misses its tolerance or overflows ends the run at the last
+    accepted iterate.  A non-finite ``y0`` raises ``ValueError``, and a seed
+    outside the box |y| <= 10, |z| <= 14, where an iterate counts as
+    divergent, raises ``SeedOutOfRange`` before any evaluation.
     """
     if not math.isfinite(y0):
         raise ValueError(f"y0 must be finite, got {y0!r}")
@@ -169,7 +170,7 @@ def axis_confinement_scan(y0: float, branch: Branch, m: int,
         try:
             point, (q, f, jac) = _line_search(lambda p: _q_and_jacobian(*p, quad), point,
                                               delta, abs(q), cfg.max_backtracks)
-        except ToleranceNotReached:
+        except (ToleranceNotReached, DomainError):
             break                       # a trial point the quadrature cannot evaluate
         if abs(point[0]) > _DIVERGENCE_Y or abs(point[1]) > _DIVERGENCE_Z:
             return AxisConfinementRecord(y0, seed_z, False, *point.tolist(), abs(q), it + 1)
@@ -237,11 +238,18 @@ class ScanGrid:
 
 def modulus_scan(y_range, z_range, ny: int, nz: int,
                  cfg: QuadratureConfig | None = None) -> ScanGrid:
-    """Evaluate |Q(0, y, z)| on a regular grid in one kernel call, which
-    sizes its own passes over the cells in row-major order.
+    """Evaluate |Q(0, y, z)| on a regular grid.
 
-    Cells where the quadrature budget runs out are flagged 'tol_miss' and
-    keep their best-effort value; the other cells are unaffected.
+    With two rows or more, each line of cells that share a z value is served
+    by one jet (``oracle._y_jets``): the four moments at the line's centre
+    y_c = (y_0 + y_last)/2, from one kernel call for all lines at half the
+    tolerance, give every cell of the line with a bound of its own.  A cell
+    is 'ok' where its centre met its budget and its bound is within the
+    tolerance.  Every other cell, and every cell of a one-row scan, goes to
+    one direct kernel call, which sizes its own passes over them in
+    row-major order and gives each the value and flag of its one-point
+    result: cells where the quadrature budget runs out are flagged
+    'tol_miss' and keep their best-effort value.
     """
     if not all(math.isfinite(v) for v in (*y_range, *z_range)):
         raise ValueError("scan ranges must be finite")
@@ -252,9 +260,23 @@ def modulus_scan(y_range, z_range, ny: int, nz: int,
     if nz == 1 and z_range[0] != z_range[1]:
         raise ValueError("single-column scan needs a degenerate z range a:a")
     cfg = cfg or QuadratureConfig()
+    tol = cfg.target_abs_tol
     ys = np.linspace(y_range[0], y_range[1], ny)
     zs = np.linspace(z_range[0], z_range[1], nz)
-    y_cells, z_cells = np.repeat(ys, nz), np.tile(zs, ny)
-    values, _, _, ok = _integrate_points(np.zeros_like(y_cells), y_cells, z_cells, (0,), cfg)
-    return ScanGrid(ys, zs, np.abs(values[:, 0]).reshape(ny, nz),
-                    np.where(ok, "ok", "tol_miss").reshape(ny, nz))
+    values = np.zeros((ny, nz), dtype=complex)
+    ok = np.zeros((ny, nz), dtype=bool)
+    # the centres run at tol/2, which must be a valid tolerance too
+    if ny > 1 and math.isfinite(4.0 * cfg.truncation_safety / tol):
+        y_c = 0.5 * (ys[0] + ys[-1])
+        moments, estimates, _, centre_ok = _integrate_points(
+            np.zeros(nz), np.full(nz, y_c), zs, (0, 1, 2, 3),
+            dataclasses.replace(cfg, target_abs_tol=0.5 * tol))
+        values, bounds = _y_jets(moments, estimates, y_c, zs, ys - y_c, tol)
+        ok = centre_ok & (bounds <= tol)
+    direct = ~ok
+    if direct.any():
+        i, j = np.nonzero(direct)
+        cells, _, _, cells_ok = _integrate_points(np.zeros(i.size), ys[i], zs[j], (0,), cfg)
+        values[direct] = cells[:, 0]
+        ok[direct] = cells_ok
+    return ScanGrid(ys, zs, np.abs(values), np.where(ok, "ok", "tol_miss"))

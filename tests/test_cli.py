@@ -325,6 +325,16 @@ def test_huge_z_exits_0_or_2_without_traceback(command, z):
     assert proc.returncode == 0 or proc.stderr.splitlines()[-1].startswith("error: ")
 
 
+def test_eval_overflow_exits_2_with_one_error_line():
+    # at z = -1e300 the quadrature overflows; a child process, so that a
+    # numpy warning would show on stderr
+    proc = subprocess.run([sys.executable, "-m", "swallowtail", "eval", "--x", "0", "--y", "0",
+                           "--z=-1e300"], capture_output=True, text=True, timeout=120,
+                          env=CHILD_ENV)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [["saddles"],
                                      ["trace", "--saddle", "0", "--direction", "left"]])
 def test_huge_gamma_exits_2_without_warnings(command):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swallowtail import (
+    DomainError,
     EvalResult,
     Form,
     Params,
@@ -21,9 +22,11 @@ from swallowtail.oracle import (
     _POINT_PASS,
     _RADIUS_BATCH,
     _cexp,
+    _y_jets,
     _integrate,
     _integrate_pass,
     _integrate_points,
+    _moment_recurrence,
     _truncation_radii,
     _truncation_radius,
 )
@@ -383,3 +386,47 @@ def test_half_angle_exp_matches_numpy():
         warnings.simplefilter("error")
         got = _cexp(w)
     assert (np.abs(got - np.exp(w)) <= 4.0 * np.finfo(float).eps * np.exp(a)).all()
+
+
+def test_overflow_raises_domain_error():
+    # at z = -1e300 the integrand overflows on the rays: no EvalResult with a
+    # NaN estimate, and (under the suite's warning filter) no numpy warning
+    with pytest.raises(DomainError, match="overflowed"):
+        eval_q(Params(0.0, 0.0, -1e300))
+
+
+# ------------------------------------------------------- holonomic jets
+
+
+@pytest.mark.parametrize("y,z", [(0.5, -5.0), (0.0, 3.0), (-0.75, -2.0)])
+def test_moment_recurrence_matches_the_kernel(y, z):
+    # m_4 .. m_7 from m_0 .. m_3 by the recurrence, against the kernel's own
+    cfg = QuadratureConfig(target_abs_tol=1e-12)
+    values, _, _, ok = _integrate_points(
+        np.zeros(1), np.array([y]), np.array([z]), tuple(range(8)), cfg)
+    assert ok[0]
+    extended = _moment_recurrence(values[0, :4], y, z, 7)
+    assert np.abs(extended[4:] - values[0, 4:]).max() <= 1e-11
+
+
+@pytest.mark.parametrize("ny", [2, 3, 20])
+def test_y_jets_lie_within_their_bounds(ny):
+    # every jet cell of a met centre, served or not, is within its bound of
+    # the direct value, up to that value's own estimate at tol 1e-12
+    tol = 1e-8
+    zs = np.linspace(-24.0, 16.0, 9)
+    for y0, width in ((0.0, 0.1), (0.4, 1.0), (-1.0, 3.0)):
+        ys = np.linspace(y0, y0 + width, ny)
+        y_c = 0.5 * (ys[0] + ys[-1])
+        moments, estimates, _, ok = _integrate_points(
+            np.zeros(zs.size), np.full(zs.size, y_c), zs, (0, 1, 2, 3),
+            QuadratureConfig(target_abs_tol=0.5 * tol))
+        values, bounds = _y_jets(moments, estimates, y_c, zs, ys - y_c, tol)
+        if width == 0.1:
+            assert (bounds <= tol).all()
+        finite = np.isfinite(bounds) & ok
+        i, j = np.nonzero(finite)
+        direct, direct_est, _, _ = _integrate_points(
+            np.zeros(i.size), ys[i], zs[j], (0,), QuadratureConfig(target_abs_tol=1e-12))
+        assert i.size and (np.abs(values[finite] - direct[:, 0])
+                           <= bounds[finite] + direct_est[:, 0]).all()

@@ -237,6 +237,14 @@ def test_confinement_records_a_quadrature_miss(monkeypatch, branch, accepted):
     assert (rec.final_y, rec.final_z) == points[-1]
 
 
+def test_confinement_ends_where_the_kernel_overflows():
+    # the first Newton trial from (9.5, 2.706) is (332.3, 276.1), where the
+    # integrand overflows: the run ends at its seed as data
+    rec = axis_confinement_scan(9.5, Branch.POSITIVE_Z, 0)
+    assert not rec.converged and rec.iterations == 0
+    assert (rec.final_y, rec.final_z) == (rec.seed_y, rec.seed_z)
+
+
 # ------------------------------------------------------- modulus scans
 
 
@@ -386,45 +394,71 @@ def test_scan_rejects_non_finite_ranges(y_range, z_range):
 
 
 def test_scan_makes_one_kernel_call_in_passes(monkeypatch, cfg_fast):
-    # the scan hands every cell to one kernel call, and the kernel splits
-    # them into passes of at most 512 points in row-major order
-    calls, passes = [], []
-    integrate_pass = oracle._integrate_pass
+    # the scan hands the centres of its lines z = const to one kernel call
+    # for the four moments, and every cell's jet meets the tolerance, so no
+    # cell goes to a second call
+    calls = []
 
     def counting(x, y, z, ks, cfg):
-        calls.append(x.size)
+        calls.append((x.size, ks, set(y.tolist())))
         return _integrate_points(x, y, z, ks, cfg)
+
+    monkeypatch.setattr(zeros, "_integrate_points", counting)
+    grid = modulus_scan((0.0, 1.0), (-6.0, 6.0), 20, 20, cfg_fast)
+    assert calls == [(20, (0, 1, 2, 3), {0.5})]
+    assert grid.flagged_cells == 0
+
+
+def test_scan_line_with_a_missed_centre_falls_back(monkeypatch):
+    # a line is served only where its centre met its budget: when the first
+    # centre is reported missed, that line's cells, and only they, are
+    # integrated directly
+    cfg = QuadratureConfig(target_abs_tol=1e-8)
+    direct = []
+
+    def first_centre_missed(x, y, z, ks, cfg):
+        values, estimates, panels, ok = _integrate_points(x, y, z, ks, cfg)
+        if ks == (0,):
+            direct.extend(zip(y.tolist(), z.tolist()))
+        else:
+            ok[0] = False
+        return values, estimates, panels, ok
+
+    monkeypatch.setattr(zeros, "_integrate_points", first_centre_missed)
+    grid = modulus_scan((0.0, 1.0), (-6.0, 6.0), 4, 3, cfg)
+    assert direct == [(y, -6.0) for y in grid.y_values.tolist()]
+    assert grid.flagged_cells == 0
+
+
+def test_scan_blocks_change_no_cell(monkeypatch):
+    # 1600 cells span four kernel passes and many 256-panel slices; each
+    # sampled cell, a tolerance miss among them, equals its one-point result
+    cfg = QuadratureConfig(target_abs_tol=1e-8, max_subdivisions=20)
+    ys, zs = np.linspace(0.0, 3.0, 40), np.linspace(-24.0, 16.0, 40)
+    passes = []
+    integrate_pass = oracle._integrate_pass
 
     def pass_counting(x, *args):
         passes.append(x.size)
         return integrate_pass(x, *args)
 
-    monkeypatch.setattr(zeros, "_integrate_points", counting)
     monkeypatch.setattr(oracle, "_integrate_pass", pass_counting)
-    modulus_scan((0.0, 1.0), (-6.0, 6.0), 20, 20, cfg_fast)
-    assert calls == [400] and passes == [400]
-    calls.clear()
-    passes.clear()
-    modulus_scan((0.0, 1.0), (-6.0, 6.0), 40, 40, cfg_fast)
-    assert calls == [1600] and passes == [512, 512, 512, 64]
-
-
-def test_scan_blocks_change_no_cell():
-    # a 40 x 40 scan spans four kernel passes and many 256-panel slices; each
-    # sampled cell, a tolerance miss among them, equals its one-point result
-    cfg = QuadratureConfig(target_abs_tol=1e-8, max_subdivisions=20)
-    grid = modulus_scan((0.0, 3.0), (-24.0, 16.0), 40, 40, cfg)
-    misses = np.argwhere(grid.flags == "tol_miss")
-    assert 0 < len(misses) < grid.flags.size
+    values, _, _, ok = _integrate_points(np.zeros(1600), np.repeat(ys, 40), np.tile(zs, 40),
+                                         (0,), cfg)
+    assert passes == [512, 512, 512, 64]
+    abs_q = np.abs(values[:, 0]).reshape(40, 40)
+    flags = np.where(ok, "ok", "tol_miss").reshape(40, 40)
+    misses = np.argwhere(flags == "tol_miss")
+    assert 0 < len(misses) < flags.size
     cells = [misses[0]] + list(np.random.default_rng(9).integers(0, 40, (29, 2)))
     for i, j in cells:
         try:
-            value = _integrate(0.0, grid.y_values[i], grid.z_values[j], (0,), cfg)[0].value
+            value = _integrate(0.0, ys[i], zs[j], (0,), cfg)[0].value
             flag = "ok"
         except ToleranceNotReached as exc:
             value, flag = exc.partial.value, "tol_miss"
-        assert grid.flags[i, j] == flag
-        assert grid.abs_q[i, j] == np.abs(value)
+        assert flags[i, j] == flag
+        assert abs_q[i, j] == np.abs(value)
 
 
 def test_scan_memory_stays_bounded():
@@ -438,6 +472,74 @@ def test_scan_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 3e6
+
+
+def test_scan_fallback_cells_equal_their_one_point_results(monkeypatch):
+    # at 20 panels per ray some centres miss, so their lines go to the direct
+    # kernel: each such cell has its one-point value and flag, bit for bit
+    cfg = QuadratureConfig(target_abs_tol=1e-8, max_subdivisions=20)
+    direct = []
+
+    def recording(x, y, z, ks, cfg):
+        if ks == (0,):
+            direct.extend(zip(y.tolist(), z.tolist()))
+        return _integrate_points(x, y, z, ks, cfg)
+
+    monkeypatch.setattr(zeros, "_integrate_points", recording)
+    grid = modulus_scan((0.0, 1.0), (-24.0, 16.0), 5, 9, cfg)
+    assert 0 < len(direct) < grid.flags.size
+    flags = set()
+    for y, z in direct:
+        i, j = grid.y_values.tolist().index(y), grid.z_values.tolist().index(z)
+        try:
+            value = _integrate(0.0, y, z, (0,), cfg)[0].value
+            flag = "ok"
+        except ToleranceNotReached as exc:
+            value, flag = exc.partial.value, "tol_miss"
+        assert grid.flags[i, j] == flag and grid.abs_q[i, j] == np.abs(value)
+        flags.add(flag)
+    assert flags == {"ok", "tol_miss"}
+
+
+def test_scan_jets_match_the_axis_series(monkeypatch):
+    # the row y = 0 lies 0.3 from its lines' centres and comes from their jets
+    calls = []
+
+    def counting(x, y, z, ks, cfg):
+        calls.append(ks)
+        return _integrate_points(x, y, z, ks, cfg)
+
+    monkeypatch.setattr(zeros, "_integrate_points", counting)
+    grid = modulus_scan((0.0, 0.6), (-8.0, 8.0), 4, 17, QuadratureConfig(target_abs_tol=1e-10))
+    assert calls == [(0, 1, 2, 3)] and grid.flagged_cells == 0
+    for j, z in enumerate(grid.z_values):
+        assert abs(grid.abs_q[0, j] - abs(q_axis_series(z))) <= 1e-10
+
+
+def test_scan_cells_hold_the_tolerance():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    tol = 1e-8
+
+    @hypothesis.settings(max_examples=25, deadline=None)
+    @hypothesis.given(st.floats(-2.0, 2.0), st.floats(0.0, 2.0), st.floats(-20.0, 12.0),
+                      st.integers(2, 6))
+    def check(y0, width, z0, ny):
+        grid = modulus_scan((y0, y0 + width), (z0, z0 + 4.0), ny, 3, QuadratureConfig(tol))
+        i, j = np.nonzero(grid.flags == "ok")
+        direct, estimates, _, _ = _integrate_points(
+            np.zeros(i.size), grid.y_values[i], grid.z_values[j], (0,),
+            QuadratureConfig(target_abs_tol=1e-12))
+        assert (np.abs(grid.abs_q[i, j] - np.abs(direct[:, 0])) <= tol + estimates[:, 0]).all()
+
+    check()
+
+
+def test_scan_where_the_kernel_overflows_is_all_misses():
+    # every centre and cell overflows: NaN cells flagged tol_miss, and under
+    # the suite's warning filter no numpy warning
+    grid = modulus_scan((0.0, 0.1), (-1000.0, -990.0), 3, 3)
+    assert np.isnan(grid.abs_q).all() and grid.flagged_cells == 9
 
 
 def test_scan_min_and_argmin(cfg_fast):
