@@ -92,8 +92,10 @@ _EIGHTHS = np.arange(9) / 8.0
 # for reusing a temporary in place, where its complex multiply rounds
 # differently and a result would depend on its batch.
 _PANEL_BLOCK = 256
-# Points per kernel pass: a pass's panel arrays and sort table grow with its
-# points, and its set-up cost stays small against the quadrature.
+# Points per kernel pass for one k, and this over len(ks) for several: a
+# pass's panel arrays and sort table grow with its points, its value and
+# estimate arrays with points times ks, and its set-up cost stays small
+# against the quadrature.
 _POINT_PASS = 512
 # Points from which a pass finds its truncation radii with numpy: on two
 # shared cores the array form costs about 250 us for 1 to 64 points, the
@@ -103,7 +105,7 @@ _RADIUS_BATCH = 24
 # the tolerance its truncation may take
 _JET_TERMS = 40
 _JET_TAIL_SHARE = 0.05
-# log(T_J) - (J + 1) log(h/2) - F for J = 0 .. _JET_TERMS, as in ``_y_jets``
+# log(T_J) - (J + 1) log(h/2) - F for J = 0 .. _JET_TERMS, as in ``_jet_terms``
 _JET_TAIL_LOG = np.array([
     math.log(0.4) - math.lgamma(j + 2) + 0.2 * (2 * j + 3) * math.log(10.0 / _RAY_SIN5)
     + math.lgamma(0.2 * (2 * j + 3)) for j in range(_JET_TERMS + 1)])
@@ -276,7 +278,7 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig):
     """Integrate t^k exp[i(t^5/5 + x t^3/3 + y t^2/2 + z t)] at N points.
 
     ``x``, ``y``, ``z`` are equal-length arrays of any length; the kernel
-    takes them in passes of at most ``_POINT_PASS``, in order.  In a pass
+    takes them in passes of at most ``_POINT_PASS`` / len(ks), in order.  In a pass
     every (point, ray) pair is a group of panels in one node array, and
     exp(i*phase) is computed once per node for all k in ``ks``.
     Each round, every group whose estimate (worst k) exceeds its budget
@@ -293,17 +295,18 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig):
     callers check finiteness.
     """
     # no points still make one (empty) pass, so the four outputs keep their shapes
+    step = _POINT_PASS // len(ks)
     with np.errstate(over="ignore", invalid="ignore"):
-        passes = [_integrate_pass(x[i:i + _POINT_PASS], y[i:i + _POINT_PASS],
-                                  z[i:i + _POINT_PASS], ks, cfg, _RAY_W, _RAY_SIN5)
-                  for i in range(0, x.size, _POINT_PASS) or (0,)]
+        passes = [_integrate_pass(x[i:i + step], y[i:i + step], z[i:i + step], ks, cfg,
+                                  _RAY_W, _RAY_SIN5)
+                  for i in range(0, x.size, step) or (0,)]
     return tuple(np.concatenate(columns) for columns in zip(*passes))
 
 
 def _integrate_pass(x, y, z, ks, cfg, w, sin5):
-    """``_integrate_points`` on one pass of at most ``_POINT_PASS`` points;
-    w holds the two rays' directions, outgoing one first, and sin5 the
-    smaller sin(5 theta), which must be positive."""
+    """``_integrate_points`` on one pass of at most ``_POINT_PASS`` / len(ks)
+    points; w holds the two rays' directions, outgoing one first, and sin5
+    the smaller sin(5 theta), which must be positive."""
     safety = cfg.truncation_safety
     tol = cfg.target_abs_tol
     log_target = math.log(2.0 * safety / tol)
@@ -387,85 +390,125 @@ def _integrate(x: float, y: float, z: float, ks,
     return results
 
 
-def _moment_recurrence(m, y, z, n: int, unit=1j):
-    """m_0 .. m_n, along the first axis, from m_0 .. m_3, the rows of m, on
-    the plane x = 0 by
+def _moment_recurrence(m, y, z, n: int, step: int = 1, unit=1j):
+    """m_0, m_step, m_2step, .. up to m_n, along a new last axis, from
+    m_0 .. m_3, the items of m, on the plane x = 0 by
 
         m_{k+4} = i k m_{k-1} - y m_{k+1} - z m_k,
 
     which integrating d/dt [t^k exp(i*phase)] along the contour gives (off
-    the plane, - x m_{k+2} joins it); y and z broadcast against a row.  With
-    unit=1, -|y| and -|z| it is the majorant recurrence, whose terms bound
-    those of the first in modulus.
+    the plane, - x m_{k+2} joins it); y, z and unit broadcast against an
+    item.  With unit=1, -|y| and -|z| it is the majorant recurrence, whose
+    terms bound those of the first in modulus.  Only the last five terms
+    are held, so the work space is the output.
     """
-    m = list(m)
+    window = list(m)                    # m_{k-1} .. m_{k+3}, once k >= 1
+    out = np.empty(np.broadcast(*window, y, z, unit).shape + (n // step + 1,), dtype=complex)
+    for k in range(0, min(n, 3) + 1, step):
+        out[..., k // step] = window[k]
     neg_y, neg_z = -y, -z
     for k in range(n - 3):
-        step = neg_z * m[k] + neg_y * m[k + 1]
-        m.append(step + unit * k * m[k - 1] if k else step)
-    return np.array(m[:n + 1])
+        term = neg_z * window[-4] + neg_y * window[-3]
+        if k:
+            term += unit * k * window.pop(0)
+        window.append(term)
+        if (k + 4) % step == 0:
+            out[..., (k + 4) // step] = term
+    return out
 
 
-def _y_jets(moments, estimates, y: float, z, deltas, tol: float):
-    """Q(0, y + d, z_l) for each offset d in ``deltas`` and line z_l in
-    ``z``, from the moments m_0 .. m_3 at each centre (0, y, z_l) and their
-    estimates e_0 .. e_3, both (lines x 4) as the kernel returns them.
+def _jet_terms(y: float, z, h: float, tol: float):
+    """The terms J and the tail bound T_J of the y jet of each line z_l in
+    ``z`` (``_y_jets``), centred at (0, y, z_l) and reaching |d| <= h.
 
-    Expanding exp(i d t^2/2) under the integral gives
-
-        Q(0, y + d, z) = sum_j (i d/2)^j / j! m_2j,
-
-    and the recurrence writes each m_2j as A_2j . (m_0 .. m_3).  So the terms
-    j <= J make W(d) . (m_0 .. m_3), within sum_k |W_k(d)| e_k + T_J + a
-    roundoff term of Q.  The tail T_J: with h = max |d| and Y = |y| + h,
-    |m_n| is at most the integral over both rays of r^n exp(-g(r)), g and s
-    as in ``_truncation_radius``, and the terms beyond J sum to at most
-    (h r^2/2)^(J+1) / (J+1)! exp(h r^2/2).  Half the quintic caps
-    Y r^2/2 + |z| r - s r^5/10 at F = 0.3 Y rb^2 + 0.8 |z| rb, its value at
-    its maximum rb or any larger r, and the other half integrates in closed
-    form:
+    Q(0, y + d, z) = sum_j (i d/2)^j / j! m_2j, and T_J bounds the terms
+    j > J.  With Y = |y| + h, |m_n| is at most the integral over both rays
+    of r^n exp(-g(r)), g and s as in ``_truncation_radius``, and the terms
+    beyond J sum to at most (h r^2/2)^(J+1) / (J+1)! exp(h r^2/2).  Half the
+    quintic caps Y r^2/2 + |z| r - s r^5/10 at F = 0.3 Y rb^2 + 0.8 |z| rb,
+    its value at its maximum rb or any larger r, and the other half
+    integrates in closed form:
 
         T_J <= 2 (h/2)^(J+1) / (J+1)! e^F (10/s)^((2J+3)/5) Gamma((2J+3)/5) / 5.
 
-    Each line takes the least J <= ``_JET_TERMS`` with T_J within
-    ``_JET_TAIL_SHARE`` of ``tol``.  Returns the values and their bounds,
-    both (offsets x lines); a line with no such J has infinite bounds, and
-    one with a non-finite moment or estimate non-finite ones.
+    J is the least count <= ``_JET_TERMS`` with T_J within
+    ``_JET_TAIL_SHARE`` of ``tol``, or -1 (with T_J infinite) where there
+    is none.  This depends on no moment, so it decides which lines a jet
+    can serve before any quadrature.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        h = float(np.abs(deltas).max())
         big_y, abs_z = abs(y) + h, np.abs(z)
         rb = _positive_roots(0.5 * _RAY_SIN5, 0.0, big_y, abs_z, 0.0) * (1.0 + 1e-9) + 1e-12
         log_f = 0.3 * big_y * rb * rb + 0.8 * abs_z * rb
+        # log T_J - F for each J, and its running minimum, which falls: so
+        # the least J that meets the share is a search, one per line
         log_tail = _JET_TAIL_LOG + np.arange(1, _JET_TERMS + 2) * (math.log(0.5 * h) if h
                                                                    else -math.inf)
-        meets = log_tail[:, None] + log_f <= math.log(_JET_TAIL_SHARE * tol)
-        has_terms = meets.any(axis=0)
-        terms = np.where(has_terms, meets.argmax(axis=0), 0)
-        count = int(terms.max()) + 1
+        least = np.minimum.accumulate(log_tail)
+        terms = np.searchsorted(-least, log_f - math.log(_JET_TAIL_SHARE * tol))
+        has_terms = terms <= _JET_TERMS
+        terms = np.where(has_terms, terms, -1)
+        tails = np.where(has_terms, np.exp(log_tail[terms] + log_f), np.inf)
+    return terms, tails
 
-        # A_2j per line, next to its majorant, and zero beyond the line's J
-        start = np.broadcast_to(np.eye(4, dtype=complex)[:, None, None], (4, z.size, 2, 4))
-        a = _moment_recurrence(start, np.array([[y], [-abs(y)]]),
-                               np.stack((z, -abs_z), axis=1)[..., None], 2 * count - 2,
-                               unit=np.array([[1j], [1.0]]))[::2]
-        a[np.arange(count)[:, None] > terms] = 0.0
-        # c_j(d) = i^j r_j(d), with r_j = (d/2)^j / j! real and a row per
-        # offset, and i^j moved into A_2j exactly: so the products are real,
-        # and go line by line, as one product over every line can cross
-        # BLAS's threading threshold, whose threads cost far more than they save
-        r = np.cumprod(np.hstack((np.ones((deltas.size, 1)),
-                                  0.5 * deltas[:, None] / np.arange(1.0, count))), axis=1)
-        b = a[:, :, 0] * np.array([1, 1j, -1, -1j])[np.arange(count) % 4, None, None]
-        w = (r @ b.transpose(1, 0, 2).view(float)).view(complex)     # lines x offsets x 4
-        values = (w * moments[:, None]).sum(axis=2)
-        # each computed A_n is off by about n ulps of the majorant's A_n, and
-        # c, W and W . m add a few more: 16 (J + 2) ulps of it covers them all
-        roundoff = (terms[:, None] + 2) * 2.0 ** -48 * (
-            np.abs(r) @ (a[:, :, 1].real * np.abs(moments)).sum(axis=2).T[..., None])[..., 0]
-        bounds = ((np.abs(w) * estimates[:, None]).sum(axis=2)
-                  + np.exp(log_tail[terms] + log_f)[:, None] + roundoff)
-    return values.T, np.where(has_terms[:, None], bounds, np.inf).T
+
+def _y_jets(moments, estimates, y: float, z, deltas, terms, tails):
+    """Q(0, y + d, z_l) for each offset d in ``deltas`` and line z_l in
+    ``z``, from the moments m_0 .. m_3 at each centre (0, y, z_l) and their
+    estimates e_0 .. e_3, both (lines x 4) as the kernel returns them, with
+    the terms J >= 0 and tail bounds T_J of ``_jet_terms``.
+
+    The recurrence writes each m_2j as A_2j . (m_0 .. m_3), so the terms
+    j <= J make W(d) . (m_0 .. m_3), within sum_k |W_k(d)| e_k + T_J + a
+    roundoff term of Q.  Returns the values and their bounds, both
+    (offsets x lines); a line with a non-finite moment or estimate has
+    non-finite ones.  Lines go in slices as large as the kernel's passes of
+    centres, so the work space stays a few (offsets x slice) arrays and the
+    terms of one slice, and a line's result does not depend on its slice.
+    """
+    values = np.empty((deltas.size, z.size), dtype=complex)
+    bounds = np.empty((deltas.size, z.size))
+    step = _POINT_PASS // moments.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, z.size, step):
+            part = slice(s, s + step)
+            values[:, part], bounds[:, part] = _y_jet_slice(
+                moments[part], estimates[part], y, z[part], deltas, terms[part], tails[part])
+    return values, bounds
+
+
+def _y_jet_slice(moments, estimates, y: float, z, deltas, terms, tails):
+    """``_y_jets`` on one slice of lines."""
+    count = int(terms.max()) + 1
+    # per line, A_2j's four entries and, fifth, the majorant recurrence run
+    # on |m_0| .. |m_3|, which bounds the terms' moduli: (lines x 5 x count)
+    start = np.zeros((4, z.size, 5), dtype=complex)
+    start[:, :, :4] = np.eye(4)[:, None]
+    start[:, :, 4] = np.abs(moments).T
+    column_y = np.array([y, y, y, y, -abs(y)])
+    column_z = np.concatenate((np.repeat(z[:, None], 4, axis=1), -np.abs(z)[:, None]), axis=1)
+    a = _moment_recurrence(start, column_y, column_z, 2 * count - 2, step=2,
+                           unit=np.array([1j, 1j, 1j, 1j, 1.0]))
+    # c_j(d) = i^j r_j(d), with r_j = (d/2)^j / j! real and a row per
+    # offset; i^j goes into A_2j exactly, so the products are real, and
+    # each line's terms beyond its J are zero.  The products go line by
+    # line, as one product over every line can cross BLAS's threading
+    # threshold, whose threads cost far more than they save
+    within = np.arange(count) <= terms[:, None]
+    a[:, :4] *= np.where(within, np.array([1, 1j, -1, -1j])[np.arange(count) % 4], 0)[:, None]
+    a[:, 4] *= within
+    r = np.cumprod(np.hstack((np.ones((deltas.size, 1)),
+                              0.5 * deltas[:, None] / np.arange(1.0, count))), axis=1)
+    values = np.zeros((z.size, deltas.size), dtype=complex)
+    spread = np.zeros((z.size, deltas.size))
+    for k in range(4):
+        w = (r @ a[:, k].view(float).reshape(z.size, count, 2)).view(complex)[..., 0]
+        values += w * moments[:, k, None]
+        spread += np.abs(w) * estimates[:, k, None]
+    # each computed A_n is off by about n ulps of the majorant's A_n, and
+    # c, W and W . m add a few more: 16 (J + 2) ulps of it covers them all
+    roundoff = (terms[:, None] + 2) * 2.0 ** -48 * (np.abs(r) @ a[:, 4, :, None].real)[..., 0]
+    return values.T, (spread + tails[:, None] + roundoff).T
 
 
 def eval_q(p: Params, cfg: QuadratureConfig | None = None) -> EvalResult:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .asymptotics import Branch, ZeroPrediction, axis_envelope, predicted_zero
 from .errors import DomainError, NoConvergence, SeedOutOfRange, ToleranceNotReached
-from .oracle import _integrate, _integrate_points, _y_jets
+from .oracle import _integrate, _integrate_points, _jet_terms, _y_jets
 from .oracle import eval_q  # noqa: F401  (zeros.eval_q stays importable for code that wraps it)
 from .params import Form, QuadratureConfig, RefineConfig
 
@@ -27,6 +27,13 @@ from .params import Form, QuadratureConfig, RefineConfig
 # seed is refused.
 _DIVERGENCE_Y = 10.0
 _DIVERGENCE_Z = 14.0
+# Jets serve a scan's lines only where they save time: a line's centre (four
+# moments at half the tolerance) costs about _JET_CENTRE_CELLS cells, and the
+# jets' set-up (terms, recurrence, products) about _JET_SETUP_CELLS cells, so
+# s served lines of ny rows need s (ny - _JET_CENTRE_CELLS) >= _JET_SETUP_CELLS.
+# Timed on two shared cores, where one cell takes 10 to 25 us.
+_JET_CENTRE_CELLS = 2
+_JET_SETUP_CELLS = 48
 
 
 @dataclass(frozen=True)
@@ -236,17 +243,46 @@ class ScanGrid:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
+def _jet_cells(ys, zs, cfg: QuadratureConfig):
+    """The values of a scan's cells and whether each is 'ok' from a jet,
+    both (ny x nz); cells no jet serves are 0 and not ok."""
+    tol = cfg.target_abs_tol
+    values = np.zeros((ys.size, zs.size), dtype=complex)
+    ok = np.zeros((ys.size, zs.size), dtype=bool)
+    # jets only where they pay (_JET_SETUP_CELLS); at most nz lines are served
+    saved_per_line = ys.size - _JET_CENTRE_CELLS
+    if saved_per_line * zs.size >= _JET_SETUP_CELLS:
+        y_c = 0.5 * (ys[0] + ys[-1])
+        deltas = ys - y_c
+        terms, tails = _jet_terms(y_c, zs, float(np.abs(deltas).max()), tol)
+        served = np.flatnonzero(terms >= 0)
+        try:
+            centre_cfg = dataclasses.replace(cfg, target_abs_tol=0.5 * tol)
+        except ValueError:              # tol/2 is no valid tolerance: no jets
+            served = served[:0]
+        if saved_per_line * served.size >= _JET_SETUP_CELLS:
+            moments, estimates, _, centre_ok = _integrate_points(
+                np.zeros(served.size), np.full(served.size, y_c), zs[served], (0, 1, 2, 3),
+                centre_cfg)
+            values[:, served], bounds = _y_jets(moments, estimates, y_c, zs[served], deltas,
+                                                terms[served], tails[served])
+            ok[:, served] = centre_ok & (bounds <= tol)
+    return values, ok
+
+
 def modulus_scan(y_range, z_range, ny: int, nz: int,
                  cfg: QuadratureConfig | None = None) -> ScanGrid:
     """Evaluate |Q(0, y, z)| on a regular grid.
 
-    With two rows or more, each line of cells that share a z value is served
-    by one jet (``oracle._y_jets``): the four moments at the line's centre
-    y_c = (y_0 + y_last)/2, from one kernel call for all lines at half the
-    tolerance, give every cell of the line with a bound of its own.  A cell
-    is 'ok' where its centre met its budget and its bound is within the
-    tolerance.  Every other cell, and every cell of a one-row scan, goes to
-    one direct kernel call, which sizes its own passes over them in
+    Each line of cells that share a z value and whose jet's tail can meet
+    the tolerance (``oracle._jet_terms``, which needs no quadrature) is
+    served by that jet (``oracle._y_jets``) if jets pay, that is if the s
+    such lines have s (ny - ``_JET_CENTRE_CELLS``) >= ``_JET_SETUP_CELLS``.
+    The four moments at the line's centre y_c = (y_0 + y_last)/2, from one
+    kernel call for all served lines at half the tolerance, give every cell
+    of the line with a bound of its own.  A cell is 'ok' where its centre
+    met its budget and its bound is within the tolerance.  Every other cell
+    goes to one direct kernel call, which sizes its own passes over them in
     row-major order and gives each the value and flag of its one-point
     result: cells where the quadrature budget runs out are flagged
     'tol_miss' and keep their best-effort value.
@@ -260,19 +296,9 @@ def modulus_scan(y_range, z_range, ny: int, nz: int,
     if nz == 1 and z_range[0] != z_range[1]:
         raise ValueError("single-column scan needs a degenerate z range a:a")
     cfg = cfg or QuadratureConfig()
-    tol = cfg.target_abs_tol
     ys = np.linspace(y_range[0], y_range[1], ny)
     zs = np.linspace(z_range[0], z_range[1], nz)
-    values = np.zeros((ny, nz), dtype=complex)
-    ok = np.zeros((ny, nz), dtype=bool)
-    # the centres run at tol/2, which must be a valid tolerance too
-    if ny > 1 and math.isfinite(4.0 * cfg.truncation_safety / tol):
-        y_c = 0.5 * (ys[0] + ys[-1])
-        moments, estimates, _, centre_ok = _integrate_points(
-            np.zeros(nz), np.full(nz, y_c), zs, (0, 1, 2, 3),
-            dataclasses.replace(cfg, target_abs_tol=0.5 * tol))
-        values, bounds = _y_jets(moments, estimates, y_c, zs, ys - y_c, tol)
-        ok = centre_ok & (bounds <= tol)
+    values, ok = _jet_cells(ys, zs, cfg)
     direct = ~ok
     if direct.any():
         i, j = np.nonzero(direct)

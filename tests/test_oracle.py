@@ -21,14 +21,16 @@ from swallowtail.oracle import (
     DEFAULT_RAY_ANGLES,
     _POINT_PASS,
     _RADIUS_BATCH,
+    _RAY_SIN5,
     _cexp,
-    _y_jets,
     _integrate,
     _integrate_pass,
     _integrate_points,
+    _jet_terms,
     _moment_recurrence,
     _truncation_radii,
     _truncation_radius,
+    _y_jets,
 )
 from conftest import q_axis_series
 
@@ -418,15 +420,94 @@ def test_y_jets_lie_within_their_bounds(ny):
     for y0, width in ((0.0, 0.1), (0.4, 1.0), (-1.0, 3.0)):
         ys = np.linspace(y0, y0 + width, ny)
         y_c = 0.5 * (ys[0] + ys[-1])
+        terms, tails = _jet_terms(y_c, zs, 0.5 * width, tol)
+        if width == 0.1:
+            assert (terms >= 0).all()
+        served = zs[terms >= 0]
         moments, estimates, _, ok = _integrate_points(
-            np.zeros(zs.size), np.full(zs.size, y_c), zs, (0, 1, 2, 3),
+            np.zeros(served.size), np.full(served.size, y_c), served, (0, 1, 2, 3),
             QuadratureConfig(target_abs_tol=0.5 * tol))
-        values, bounds = _y_jets(moments, estimates, y_c, zs, ys - y_c, tol)
+        values, bounds = _y_jets(moments, estimates, y_c, served, ys - y_c,
+                                 terms[terms >= 0], tails[terms >= 0])
         if width == 0.1:
             assert (bounds <= tol).all()
         finite = np.isfinite(bounds) & ok
         i, j = np.nonzero(finite)
         direct, direct_est, _, _ = _integrate_points(
-            np.zeros(i.size), ys[i], zs[j], (0,), QuadratureConfig(target_abs_tol=1e-12))
+            np.zeros(i.size), ys[i], served[j], (0,), QuadratureConfig(target_abs_tol=1e-12))
         assert i.size and (np.abs(values[finite] - direct[:, 0])
                            <= bounds[finite] + direct_est[:, 0]).all()
+
+
+@pytest.mark.parametrize("y,z,h,tol", [(0.5, -3.0, 0.5, 1e-4), (0.0, 2.0, 0.3, 1e-6),
+                                       (0.5, -5.0, 1.0, 1e-8), (2.0, 8.0, 1.0, 1e-6),
+                                       (0.3, -20.0, 0.05, 1e-8), (6.0, 0.0, 0.2, 1e-8),
+                                       (4.0, 2.0, 0.3, 1e-8)])
+def test_jet_tail_is_close_above_the_integral_it_bounds(y, z, h, tol):
+    # T_J in closed form against the integral over both rays of
+    # sum_{j > J} (h r^2/2)^j / j! times exp(|y| r^2/2 + |z| r - s r^5/5),
+    # which bounds the series' terms beyond J: above it, and within 50 times
+    terms, tails = _jet_terms(y, np.array([z]), h, tol)
+    j_last = int(terms[0])
+    assert 0 <= j_last < 40 and tails[0] <= 0.05 * tol
+    r = np.linspace(0.0, 10.0, 20001)
+    x = 0.5 * h * r * r
+    term = x ** (j_last + 1) / math.factorial(j_last + 1)
+    total = term.copy()
+    for j in range(j_last + 2, j_last + 60):
+        term = term * x / j
+        total += term
+    integral = 2.0 * np.trapezoid(
+        total * np.exp(abs(y) * r * r / 2 + abs(z) * r - _RAY_SIN5 * r ** 5 / 5), r)
+    assert integral <= tails[0] <= 50.0 * integral
+
+
+@pytest.mark.parametrize("y,z,h,tol", [(0.0, 0.0, 1.0, 1e-3), (0.0, 2.0, 0.3, 1e-6)])
+def test_jet_tail_bounds_the_series_remainder(y, z, h, tol):
+    # where the tail is what limits the bound, the terms J < j <= J + 30 of
+    # sum_j (i d/2)^j / j! m_2j at d = +-h lie within T_J, and not 1000
+    # times below it
+    terms, tails = _jet_terms(y, np.array([z]), h, tol)
+    j_last = int(terms[0])
+    moments, _, _, ok = _integrate_points(np.zeros(1), np.array([y]), np.array([z]),
+                                          (0, 1, 2, 3), QuadratureConfig(target_abs_tol=1e-13))
+    assert ok[0]
+    even = _moment_recurrence(moments[0], y, z, 2 * (j_last + 30), step=2)
+    j = np.arange(j_last + 1, j_last + 31)
+    for d in (h, -h):
+        weights = np.array([(0.5j * d) ** n / math.factorial(n) for n in j])
+        remainder = abs((weights * even[j]).sum())
+        assert remainder <= tails[0] <= 1e3 * remainder
+
+
+def test_jet_bound_takes_the_tail_and_each_moment_estimate():
+    # with exact moments a cell's bound is T_J and a roundoff term; an error
+    # e in m_k alone moves its value by |W_k(d)| e, and an estimate e_k = e
+    # adds exactly that to its bound, for each k = 0 .. 3
+    y, zs, deltas = 0.4, np.array([-6.0, 1.0, 5.0]), np.linspace(-0.5, 0.5, 7)
+    terms, tails = _jet_terms(y, zs, 0.5, 1e-8)
+    moments, _, _, _ = _integrate_points(np.zeros(3), np.full(3, y), zs, (0, 1, 2, 3),
+                                         QuadratureConfig(target_abs_tol=5e-9))
+    exact = np.zeros((3, 4))
+    values, bounds = _y_jets(moments, exact, y, zs, deltas, terms, tails)
+    assert (tails <= bounds).all() and (bounds <= tails + 1e-12).all()
+    for k in range(4):
+        shifted, estimates = moments.copy(), exact.copy()
+        shifted[:, k] += 1e-6 * np.exp(0.7j)
+        estimates[:, k] = 1e-6
+        moved = np.abs(_y_jets(shifted, exact, y, zs, deltas, terms, tails)[0] - values)
+        added = _y_jets(moments, estimates, y, zs, deltas, terms, tails)[1] - bounds
+        assert (np.abs(moved - added) <= 1e-6 * added + 1e-15).all()
+        assert (added[deltas != 0.0] > 0.0).all()
+
+
+def test_y_jets_of_a_non_finite_centre_are_non_finite():
+    # a centre whose quadrature overflowed gives its line non-finite bounds,
+    # without a numpy warning; the other lines keep theirs
+    y, zs, deltas = 0.2, np.array([-3.0, 2.0]), np.linspace(-0.1, 0.1, 5)
+    terms, tails = _jet_terms(y, zs, 0.1, 1e-8)
+    moments, estimates, _, _ = _integrate_points(np.zeros(2), np.full(2, y), zs, (0, 1, 2, 3),
+                                                 QuadratureConfig(target_abs_tol=5e-9))
+    moments[0, 2], estimates[0, 3] = np.nan, np.inf
+    _, bounds = _y_jets(moments, estimates, y, zs, deltas, terms, tails)
+    assert not np.isfinite(bounds[:, 0]).any() and (bounds[:, 1] <= 1e-8).all()

@@ -409,6 +409,23 @@ def test_scan_makes_one_kernel_call_in_passes(monkeypatch, cfg_fast):
     assert grid.flagged_cells == 0
 
 
+def test_scan_without_a_valid_half_tolerance_runs_direct(monkeypatch):
+    # at tol 2e-307 a QuadratureConfig takes tol but not the centres' tol/2,
+    # so no line is served from a jet and every cell goes to the direct call
+    calls = []
+
+    def fake(x, y, z, ks, cfg):
+        calls.append((x.size, ks))
+        return (np.zeros((x.size, len(ks)), dtype=complex), np.zeros((x.size, len(ks))),
+                np.zeros(x.size, dtype=int), np.ones(x.size, dtype=bool))
+
+    monkeypatch.setattr(zeros, "_integrate_points", fake)
+    with pytest.raises(ValueError):
+        QuadratureConfig(target_abs_tol=1e-307)
+    modulus_scan((0.0, 0.1), (-6.0, 6.0), 20, 20, QuadratureConfig(target_abs_tol=2e-307))
+    assert calls == [(400, (0,))]
+
+
 def test_scan_line_with_a_missed_centre_falls_back(monkeypatch):
     # a line is served only where its centre met its budget: when the first
     # centre is reported missed, that line's cells, and only they, are
@@ -425,7 +442,7 @@ def test_scan_line_with_a_missed_centre_falls_back(monkeypatch):
         return values, estimates, panels, ok
 
     monkeypatch.setattr(zeros, "_integrate_points", first_centre_missed)
-    grid = modulus_scan((0.0, 1.0), (-6.0, 6.0), 4, 3, cfg)
+    grid = modulus_scan((0.0, 1.0), (-6.0, 6.0), 6, 13, cfg)
     assert direct == [(y, -6.0) for y in grid.y_values.tolist()]
     assert grid.flagged_cells == 0
 
@@ -474,6 +491,21 @@ def test_scan_memory_stays_bounded():
     assert peak <= 3e6
 
 
+def test_scan_memory_stays_bounded_over_many_lines():
+    # 5000 lines of 3 rows: jets serve most, many with 35 to 40 terms, and
+    # they go in slices as the kernel's passes do, so the peak stays that of
+    # one direct pass (about 3.3 MB), not the lines times their terms
+    cfg = QuadratureConfig(target_abs_tol=1e-8)
+    tracemalloc.start()
+    try:
+        grid = modulus_scan((0.0, 2.0), (-24.0, 16.0), 3, 5000, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.flagged_cells == 0
+    assert peak <= 4e6
+
+
 def test_scan_fallback_cells_equal_their_one_point_results(monkeypatch):
     # at 20 panels per ray some centres miss, so their lines go to the direct
     # kernel: each such cell has its one-point value and flag, bit for bit
@@ -486,7 +518,7 @@ def test_scan_fallback_cells_equal_their_one_point_results(monkeypatch):
         return _integrate_points(x, y, z, ks, cfg)
 
     monkeypatch.setattr(zeros, "_integrate_points", recording)
-    grid = modulus_scan((0.0, 1.0), (-24.0, 16.0), 5, 9, cfg)
+    grid = modulus_scan((0.0, 1.0), (-24.0, 16.0), 8, 9, cfg)
     assert 0 < len(direct) < grid.flags.size
     flags = set()
     for y, z in direct:
@@ -510,7 +542,7 @@ def test_scan_jets_match_the_axis_series(monkeypatch):
         return _integrate_points(x, y, z, ks, cfg)
 
     monkeypatch.setattr(zeros, "_integrate_points", counting)
-    grid = modulus_scan((0.0, 0.6), (-8.0, 8.0), 4, 17, QuadratureConfig(target_abs_tol=1e-10))
+    grid = modulus_scan((0.0, 0.6), (-8.0, 8.0), 7, 17, QuadratureConfig(target_abs_tol=1e-10))
     assert calls == [(0, 1, 2, 3)] and grid.flagged_cells == 0
     for j, z in enumerate(grid.z_values):
         assert abs(grid.abs_q[0, j] - abs(q_axis_series(z))) <= 1e-10
@@ -523,9 +555,10 @@ def test_scan_cells_hold_the_tolerance():
 
     @hypothesis.settings(max_examples=25, deadline=None)
     @hypothesis.given(st.floats(-2.0, 2.0), st.floats(0.0, 2.0), st.floats(-20.0, 12.0),
-                      st.integers(2, 6))
+                      st.integers(2, 8))
     def check(y0, width, z0, ny):
-        grid = modulus_scan((y0, y0 + width), (z0, z0 + 4.0), ny, 3, QuadratureConfig(tol))
+        # from 5 rows on, 16 lines are enough for jets
+        grid = modulus_scan((y0, y0 + width), (z0, z0 + 4.0), ny, 16, QuadratureConfig(tol))
         i, j = np.nonzero(grid.flags == "ok")
         direct, estimates, _, _ = _integrate_points(
             np.zeros(i.size), grid.y_values[i], grid.z_values[j], (0,),
@@ -536,8 +569,8 @@ def test_scan_cells_hold_the_tolerance():
 
 
 def test_scan_where_the_kernel_overflows_is_all_misses():
-    # every centre and cell overflows: NaN cells flagged tol_miss, and under
-    # the suite's warning filter no numpy warning
+    # every cell overflows: NaN cells flagged tol_miss, and under the
+    # suite's warning filter no numpy warning
     grid = modulus_scan((0.0, 0.1), (-1000.0, -990.0), 3, 3)
     assert np.isnan(grid.abs_q).all() and grid.flagged_cells == 9
 
