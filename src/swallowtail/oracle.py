@@ -9,7 +9,8 @@ what (x, y, z) are.  Everything else is standard machinery: an a-priori
 truncation radius with a certified tail bound (the positive root of two
 quintics, found by Newton steps from a closed-form upper bound, in numpy for
 a whole pass of ``_RADIUS_BATCH`` points or more), and an adaptive
-Gauss-Kronrod rule on each truncated ray.
+Gauss-Kronrod rule on each truncated ray.  The quintics, and the scan jets'
+tail bound, come from one per-ray majorant of the integrand (``_ray_sines``).
 
 One kernel, ``_integrate_points``, does all the quadrature.  It takes any
 number of points and sizes its own passes over them: in a pass each (point,
@@ -43,9 +44,30 @@ from .params import Form, Params, QuadratureConfig, s_to_q
 from .saddle import VALLEY_ANGLES
 
 DEFAULT_RAY_ANGLES = (VALLEY_ANGLES[2], VALLEY_ANGLES[0])
-# the rays' directions, outgoing one first, and the smaller of their sin(5 theta)
+
+
+def _ray_sines(angles):
+    """(S_1, S_2, S_3, s) of the rays at ``angles``: S_n the largest
+    |sin(n theta)| and s the smallest sin(5 theta), each rounded outwards.
+
+    On t = r e^{i theta} the integrand's modulus is exp(-Im phase), and
+    -Im phase = -r^5 sin 5theta/5 - x r^3 sin 3theta/3 - y r^2 sin 2theta/2
+    - z r sin theta.  Where sin theta, sin 3theta >= 0, as in the sectors
+    (0, pi/5) and (4 pi/5, pi), that is at most the majorant
+    -s r^5/5 + S_3 x^- r^3/3 + S_2 |y| r^2/2 + S_1 z^- r on every ray, with
+    x^- = max(-x, 0) and z^- = max(-z, 0).
+    """
+    if min(math.sin(n * theta) for theta in angles for n in (1, 3)) < 0.0:
+        raise ValueError("every ray needs sin(theta) >= 0 and sin(3 theta) >= 0")
+    # 1e-15 is several ulps: more than the error of math.sin and of the product
+    return (*(max(abs(math.sin(n * theta)) for theta in angles) * (1.0 + 1e-15)
+              for n in (1, 2, 3)),
+            min(math.sin(5.0 * theta) for theta in angles) * (1.0 - 1e-15))
+
+
+# the rays' directions, outgoing one first, and their _ray_sines
 _RAY_W = np.exp(1j * np.array(DEFAULT_RAY_ANGLES[::-1]))
-_RAY_SIN5 = min(math.sin(5.0 * theta) for theta in DEFAULT_RAY_ANGLES)
+_RAY_SINES = _ray_sines(DEFAULT_RAY_ANGLES)
 
 # 15-point Kronrod extension of the 7-point Gauss rule on [-1, 1].
 _XGK = np.array([
@@ -98,16 +120,16 @@ _PANEL_BLOCK = 256
 # against the quadrature.
 _POINT_PASS = 512
 # Points from which a pass finds its truncation radii with numpy: on two
-# shared cores the array form costs about 250 us for 1 to 64 points, the
-# scalar form about 11 us per point.
-_RADIUS_BATCH = 24
+# shared cores the array form costs about 120 us for 1 to 64 points, the
+# scalar form about 15 us per point.
+_RADIUS_BATCH = 8
 # A scan line's y jet (``_y_jets``): at most this many terms, and the share of
 # the tolerance its truncation may take
 _JET_TERMS = 40
 _JET_TAIL_SHARE = 0.05
 # log(T_J) - (J + 1) log(h/2) - F for J = 0 .. _JET_TERMS, as in ``_jet_terms``
 _JET_TAIL_LOG = np.array([
-    math.log(0.4) - math.lgamma(j + 2) + 0.2 * (2 * j + 3) * math.log(10.0 / _RAY_SIN5)
+    math.log(0.4) - math.lgamma(j + 2) + 0.2 * (2 * j + 3) * math.log(10.0 / _RAY_SINES[3])
     + math.lgamma(0.2 * (2 * j + 3)) for j in range(_JET_TERMS + 1)])
 
 
@@ -160,45 +182,51 @@ def _newton_steps(r, a, b, c, d, e):
     return r
 
 
-def _tail_quintics(ax, ay, az, k: int, log_target: float, sin5: float):
-    """(a, b, c, d, e) of the value and the slope conditions of ``_truncation_radius``."""
+def _tail_quintics(cx, cy, cz, k: int, log_target: float, s: float):
+    """(a, b, c, d, e) of the value and the slope conditions of
+    ``_truncation_radius``, with cx = S_3 x^-, cy = S_2 |y|, cz = S_1 z^-."""
     # clamping the constant at 0 can only raise the root
-    return ((sin5 / 5.0, ax / 3.0, ay / 2.0, az + k, max(0.0, log_target - k)),
-            (sin5, ax, ay, az + k + 1.0, 0.0))
+    return ((s / 5.0, cx / 3.0, cy / 2.0, cz + k, max(0.0, log_target - k)),
+            (s, cx, cy, cz + k + 1.0, 0.0))
 
 
 def _truncation_radius(x: float, y: float, z: float, k: int, log_target: float,
-                       sin5: float) -> float:
+                       sines) -> float:
     """Smallest radius beyond which the integrand tail is provably negligible.
 
-    On a ray at angle theta with s = sin(5*theta) > 0 the integrand modulus of
-    r^k exp(i*phase) is at most r^k exp(-g(r)) with
+    On rays with ``_ray_sines`` (S_1, S_2, S_3, s), s > 0, the integrand
+    modulus of r^k exp(i*phase) is at most r^k exp(-g(r)) with
 
-        g(r) = s r^5/5 - |x| r^3/3 - |y| r^2/2 - |z| r.
+        g(r) = s r^5/5 - S_3 x^- r^3/3 - S_2 |y| r^2/2 - S_1 z^- r.
 
-    Using r^k <= exp(k (r-1)) for r >= 1, the tail beyond R is bounded by
-    exp(-gk(R)) once gk(r) = g(r) - k(r-1) satisfies gk >= log_target and
-    gk' >= 1 for all r >= R.  Both conditions are quintics of the form that
+    Using r^k <= exp(k (r-1)), the tail beyond R is bounded by exp(-gk(R))
+    once gk(r) = g(r) - k(r-1) satisfies gk >= log_target and gk' >= 1 for
+    all r >= R.  Both conditions are quintics of the form that
     ``_positive_root`` solves (the second one multiplied by r).
     """
-    r_val, r_slope = (_positive_root(*q)
-                      for q in _tail_quintics(abs(x), abs(y), abs(z), k, log_target, sin5))
+    s1, s2, s3, s = sines
+    r_val, r_slope = (_positive_root(*q) for q in _tail_quintics(
+        s3 * max(-x, 0.0), s2 * abs(y), s1 * max(-z, 0.0), k, log_target, s))
     return max(r_val, r_slope) * (1.0 + 1e-9) + 1e-12
 
 
-def _truncation_radii(x, y, z, k: int, log_target: float, sin5: float):
+def _truncation_radii(x, y, z, k: int, log_target: float, sines):
     """``_truncation_radius`` at every point of the arrays x, y, z, bit for bit.
 
     Below ``_RADIUS_BATCH`` points the scalar form is faster; from there on,
     the arrays.
     """
     if x.size < _RADIUS_BATCH:
-        return np.array([_truncation_radius(a, b, c, k, log_target, sin5)
+        return np.array([_truncation_radius(a, b, c, k, log_target, sines)
                          for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())])
+    s1, s2, s3, s = sines
+    quintics = _tail_quintics(s3 * np.maximum(-x, 0.0), s2 * np.abs(y),
+                              s1 * np.maximum(-z, 0.0), k, log_target, s)
     # each coefficient as a (2, N) array: row 0 the value condition, row 1 the slope
-    quintics = _tail_quintics(np.abs(x), np.abs(y), np.abs(z), k, log_target, sin5)
-    r_val, r_slope = _positive_roots(*(np.stack([np.broadcast_to(q, x.shape) for q in pair])
-                                       for pair in zip(*quintics)))
+    coef = np.empty((5, 2, x.size))
+    for rows, pair in zip(coef, zip(*quintics)):
+        rows[0], rows[1] = pair
+    r_val, r_slope = _positive_roots(*coef)
     return np.maximum(r_val, r_slope) * (1.0 + 1e-9) + 1e-12
 
 
@@ -298,21 +326,21 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig):
     step = _POINT_PASS // len(ks)
     with np.errstate(over="ignore", invalid="ignore"):
         passes = [_integrate_pass(x[i:i + step], y[i:i + step], z[i:i + step], ks, cfg,
-                                  _RAY_W, _RAY_SIN5)
+                                  _RAY_W, _RAY_SINES)
                   for i in range(0, x.size, step) or (0,)]
     return tuple(np.concatenate(columns) for columns in zip(*passes))
 
 
-def _integrate_pass(x, y, z, ks, cfg, w, sin5):
+def _integrate_pass(x, y, z, ks, cfg, w, sines):
     """``_integrate_points`` on one pass of at most ``_POINT_PASS`` / len(ks)
-    points; w holds the two rays' directions, outgoing one first, and sin5
-    the smaller sin(5 theta), which must be positive."""
+    points; w holds the two rays' directions, outgoing one first, and sines
+    their ``_ray_sines``, whose smallest sin(5 theta) must be positive."""
     safety = cfg.truncation_safety
     tol = cfg.target_abs_tol
     log_target = math.log(2.0 * safety / tol)
     # beyond r = 1, r^k <= r^max(ks): the largest power's radius covers every tail
     k_max = max(ks)
-    radius = _truncation_radii(x, y, z, k_max, log_target, sin5)
+    radius = _truncation_radii(x, y, z, k_max, log_target, sines)
     trunc_bound = tol / safety          # both ray tails combined
     ray_budget = 0.5 * tol * (1.0 - 1.0 / safety)
 
@@ -422,12 +450,14 @@ def _jet_terms(y: float, z, h: float, tol: float):
     ``z`` (``_y_jets``), centred at (0, y, z_l) and reaching |d| <= h.
 
     Q(0, y + d, z) = sum_j (i d/2)^j / j! m_2j, and T_J bounds the terms
-    j > J.  With Y = |y| + h, |m_n| is at most the integral over both rays
-    of r^n exp(-g(r)), g and s as in ``_truncation_radius``, and the terms
-    beyond J sum to at most (h r^2/2)^(J+1) / (J+1)! exp(h r^2/2).  Half the
-    quintic caps Y r^2/2 + |z| r - s r^5/10 at F = 0.3 Y rb^2 + 0.8 |z| rb,
-    its value at its maximum rb or any larger r, and the other half
-    integrates in closed form:
+    j > J.  By Taylor's integral remainder, on t = r e^{i theta} they are at
+    most (h r^2/2)^(J+1) / (J+1)! exp(S_2 h r^2/2) times the integrand at
+    the centre, so with ``_ray_sines``' majorant, Y = S_2 (|y| + h) and
+    Z = S_1 z^-, at most the integral over both rays of
+    (h r^2/2)^(J+1) / (J+1)! exp(Y r^2/2 + Z r - s r^5/5).  Half the quintic
+    caps Y r^2/2 + Z r - s r^5/10 at F = 0.3 Y rb^2 + 0.8 Z rb, its value at
+    its maximum rb or any larger r, and the other half integrates in closed
+    form:
 
         T_J <= 2 (h/2)^(J+1) / (J+1)! e^F (10/s)^((2J+3)/5) Gamma((2J+3)/5) / 5.
 
@@ -437,9 +467,10 @@ def _jet_terms(y: float, z, h: float, tol: float):
     can serve before any quadrature.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        big_y, abs_z = abs(y) + h, np.abs(z)
-        rb = _positive_roots(0.5 * _RAY_SIN5, 0.0, big_y, abs_z, 0.0) * (1.0 + 1e-9) + 1e-12
-        log_f = 0.3 * big_y * rb * rb + 0.8 * abs_z * rb
+        s1, s2, _, s = _RAY_SINES
+        big_y, big_z = s2 * (abs(y) + h), s1 * np.maximum(-z, 0.0)
+        rb = _positive_roots(0.5 * s, 0.0, big_y, big_z, 0.0) * (1.0 + 1e-9) + 1e-12
+        log_f = 0.3 * big_y * rb * rb + 0.8 * big_z * rb
         # log T_J - F for each J, and its running minimum, which falls: so
         # the least J that meets the share is a search, one per line
         log_tail = _JET_TAIL_LOG + np.arange(1, _JET_TERMS + 2) * (math.log(0.5 * h) if h

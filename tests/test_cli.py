@@ -252,6 +252,8 @@ def test_scan_non_finite_range_exit_2(capsys, tmp_path, y_range, z_range):
     assert not out.exists()
 
 
+# Explicit ids here and below, each the name its case has always had, so
+# that deleting a case renames no other; a new case takes a new name.
 @pytest.mark.parametrize("argv", [
     ["zeros", "refine", "--branch", "pos", "--m", "9", "--max-abs-z", "nan"],
     ["zeros", "refine", "--branch", "neg", "--m", "0", "--residual-tol", "nan"],
@@ -261,7 +263,7 @@ def test_scan_non_finite_range_exit_2(capsys, tmp_path, y_range, z_range):
     ["zeros", "confine", "--y0", "nan", "--branch", "pos", "--m", "0"],
     ["zeros", "confine", "--y0", "inf", "--branch", "pos", "--m", "0"],
     ["zeros", "refine", "--branch", "pos", "--m", "0", "--max-abs-z", "inf"],
-])
+], ids=[f"argv{i}" for i in range(7)])
 def test_bad_config_values_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
@@ -311,9 +313,10 @@ def test_unwritable_output_exit_5(capsys):
     assert code == 5
 
 
-@pytest.mark.parametrize("z", ["1e300", "-1e300"])
+@pytest.mark.parametrize("z", ["1e300", "-1e300"], ids=["1e300", "-1e300"])
 @pytest.mark.parametrize("command", [["eval", "--x", "0"], ["saddles"],
-                                     ["trace", "--saddle", "0", "--direction", "left"]])
+                                     ["trace", "--saddle", "0", "--direction", "left"]],
+                         ids=["command0", "command1", "command2"])
 def test_huge_z_exits_0_or_2_without_traceback(command, z):
     # lambda = |z|^(5/4) overflows a float for |z| > 4.0e246; a child process,
     # because eval at z = -1e300 also prints numpy's overflow warnings
@@ -336,7 +339,8 @@ def test_eval_overflow_exits_2_with_one_error_line():
 
 
 @pytest.mark.parametrize("command", [["saddles"],
-                                     ["trace", "--saddle", "0", "--direction", "left"]])
+                                     ["trace", "--saddle", "0", "--direction", "left"]],
+                         ids=["command0", "command1"])
 def test_huge_gamma_exits_2_without_warnings(command):
     # gamma = 1e300 overflowed the root polish: NaN roots, numpy warnings and
     # a bare NaN token on stdout (saddles) or exit 4 (trace); a child process,
@@ -389,7 +393,8 @@ def test_refine_and_confine_evaluate_one_prediction(capsys, monkeypatch):
     assert time.perf_counter() - t0 < 1.0
 
 
-@pytest.mark.parametrize("command", [["refine"], ["confine", "--y0", "0.3"]])
+@pytest.mark.parametrize("command", [["refine"], ["confine", "--y0", "0.3"]],
+                         ids=["command0", "command1"])
 def test_m_beyond_float_range_exits_2(capsys, command):
     # (2m + 1) overflows a float; both commands evaluate the formula for m
     code, out, err = run_cli(capsys, ["zeros", *command, "--branch", "pos",

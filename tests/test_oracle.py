@@ -21,13 +21,14 @@ from swallowtail.oracle import (
     DEFAULT_RAY_ANGLES,
     _POINT_PASS,
     _RADIUS_BATCH,
-    _RAY_SIN5,
+    _RAY_SINES,
     _cexp,
     _integrate,
     _integrate_pass,
     _integrate_points,
     _jet_terms,
     _moment_recurrence,
+    _ray_sines,
     _truncation_radii,
     _truncation_radius,
     _y_jets,
@@ -103,7 +104,7 @@ def test_realness_on_y_zero_random(rng, cfg_fast):
 
 def _kernel_at(x, y, z, cfg, rays=None):
     """Value, estimate and success flag of the kernel's k = 0 result at one
-    point, on the rays (w, sin5) of ``_integrate_pass`` if given."""
+    point, on the rays (w, sines) of ``_integrate_pass`` if given."""
     point = (np.array([x]), np.array([y]), np.array([z]), (0,), cfg)
     values, estimates, _, ok = _integrate_pass(*point, *rays) if rays else _integrate_points(*point)
     return values[0, 0], estimates[0, 0], ok[0]
@@ -112,8 +113,7 @@ def _kernel_at(x, y, z, cfg, rays=None):
 def test_contour_independence(cfg):
     # rays perturbed within the decay sectors: in at 0.88 pi, out at 0.12 pi
     theta_in, theta_out = 0.88 * math.pi, 0.12 * math.pi
-    rays = (np.exp(1j * np.array([theta_out, theta_in])),
-            min(math.sin(5.0 * theta_in), math.sin(5.0 * theta_out)))
+    rays = (np.exp(1j * np.array([theta_out, theta_in])), _ray_sines((theta_in, theta_out)))
     for (x, y, z) in [(0.0, 0.0, 0.0), (0.5, 1.0, -2.0), (0.0, 2.0, 3.0)]:
         a = eval_q(Params(x, y, z), cfg)
         b, b_err, ok = _kernel_at(x, y, z, cfg, rays)
@@ -320,11 +320,17 @@ def test_batched_moments_match_single_points():
         assert (got[280:] == want).all()
 
 
-def _reference_radius(x, y, z, k, log_target, sin5):
+def _majorant_coefficients(x, y, z, sines):
+    """(S_3 x^-, S_2 |y|, S_1 z^-, s) of the per-ray tail majorant."""
+    s1, s2, s3, s = sines
+    return s3 * max(-x, 0.0), s2 * abs(y), s1 * max(-z, 0.0), s
+
+
+def _reference_radius(x, y, z, k, log_target, sines):
     """The eigenvalue form of the truncation radius: both conditions by np.roots."""
-    ax, ay, az = abs(x), abs(y), abs(z)
-    val_poly = [sin5 / 5.0, 0.0, -ax / 3.0, -ay / 2.0, -(az + k), k - log_target]
-    slope_poly = [sin5, 0.0, -ax, -ay, -(az + k + 1.0)]
+    cx, cy, cz, s = _majorant_coefficients(x, y, z, sines)
+    val_poly = [s / 5.0, 0.0, -cx / 3.0, -cy / 2.0, -(cz + k), k - log_target]
+    slope_poly = [s, 0.0, -cx, -cy, -(cz + k + 1.0)]
     r_min = 1.0
     for poly in (val_poly, slope_poly):
         roots = np.roots(poly)
@@ -339,22 +345,61 @@ def test_truncation_radius_matches_eigenvalue_form():
     mpmath = pytest.importorskip("mpmath")
     st = hypothesis.strategies
     coord = st.floats(-1000.0, 1000.0)
-    sin5 = math.sin(5.0 * DEFAULT_RAY_ANGLES[1])
 
     @hypothesis.settings(max_examples=300, deadline=None)
     @hypothesis.given(coord, coord, coord, st.integers(0, 4), st.floats(-14.0, -2.0))
     def check(x, y, z, k, log10_tol):
         log_target = math.log(2.0 * 10.0 / 10.0 ** log10_tol)
-        radius = _truncation_radius(x, y, z, k, log_target, sin5)
-        reference = _reference_radius(x, y, z, k, log_target, sin5)
+        radius = _truncation_radius(x, y, z, k, log_target, _RAY_SINES)
+        reference = _reference_radius(x, y, z, k, log_target, _RAY_SINES)
         # np.roots is itself only good to ~1e-14 relative, so "not below the
         # reference" allows that much; the tail conditions are checked exactly
         assert -1e-13 <= radius / reference - 1.0 <= 1e-10
         with mpmath.workdps(40):
-            r, s = mpmath.mpf(radius), mpmath.mpf(sin5)
-            gk = s * r**5 / 5 - abs(x) * r**3 / 3 - abs(y) * r**2 / 2 - abs(z) * r - k * (r - 1)
-            slope = s * r**4 - abs(x) * r**2 - abs(y) * r - abs(z) - k
+            r = mpmath.mpf(radius)
+            cx, cy, cz, s = (mpmath.mpf(c) for c in _majorant_coefficients(x, y, z, _RAY_SINES))
+            gk = s * r**5 / 5 - cx * r**3 / 3 - cy * r**2 / 2 - cz * r - k * (r - 1)
+            slope = s * r**4 - cx * r**2 - cy * r - cz - k
             assert gk >= log_target and slope >= 1
+
+    check()
+
+
+def test_ray_tail_lies_below_its_majorant_and_within_its_share():
+    # on each default ray, at 40 digits: r^k exp(-Im phase(r e^{i theta}))
+    # lies below the radius's majorant exp(-g(r) + k (r - 1)) at sampled
+    # r >= R, and its integral beyond R is within tol / (2 safety)
+    hypothesis = pytest.importorskip("hypothesis")
+    mpmath = pytest.importorskip("mpmath")
+    st = hypothesis.strategies
+    coord = st.floats(-30.0, 30.0)
+    safety = QuadratureConfig.truncation_safety
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(coord, coord, coord, st.integers(0, 4), st.floats(-12.0, -4.0),
+                      st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4))
+    def check(x, y, z, k, log10_tol, steps):
+        tol = 10.0 ** log10_tol
+        log_target = math.log(2.0 * safety / tol)
+        radius = _truncation_radius(x, y, z, k, log_target, _RAY_SINES)
+        with mpmath.workdps(40):
+            cx, cy, cz, s = (mpmath.mpf(c) for c in _majorant_coefficients(x, y, z, _RAY_SINES))
+            for theta in DEFAULT_RAY_ANGLES:
+                w = mpmath.expj(mpmath.mpf(theta))
+
+                def log_modulus(r):
+                    t = r * w
+                    phase = t**5 / 5 + x * t**3 / 3 + y * t**2 / 2 + z * t
+                    return k * mpmath.log(r) - mpmath.im(phase)
+
+                for step in steps:
+                    r = mpmath.mpf(radius) + step
+                    majorant = -(s * r**5 / 5 - cx * r**3 / 3 - cy * r**2 / 2 - cz * r
+                                 - k * (r - 1))
+                    assert log_modulus(r) <= majorant
+                tail = mpmath.quad(lambda r: mpmath.exp(log_modulus(r)),
+                                   [radius, radius + 1, mpmath.inf])
+                assert tail <= tol / (2.0 * safety)
 
     check()
 
@@ -363,15 +408,14 @@ def test_batched_radius_equals_scalar_radius():
     # a pass's radii must not depend on how many points it holds, so the
     # array form must give the scalar form's bits, Newton start included
     rng = np.random.default_rng(20261018)
-    sin5 = math.sin(5.0 * DEFAULT_RAY_ANGLES[1])
     n = 1000
     for k in range(5):
         for tol in (1e-14, 1e-11, 1e-8, 1e-3):
             log_target = math.log(2.0 * 10.0 / tol)
             x, y, z = rng.uniform(-1.0, 1.0, (3, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, n))
             x[: n // 2] = 0.0
-            batched = _truncation_radii(x, y, z, k, log_target, sin5)
-            scalar = [_truncation_radius(a, b, c, k, log_target, sin5)
+            batched = _truncation_radii(x, y, z, k, log_target, _RAY_SINES)
+            scalar = [_truncation_radius(a, b, c, k, log_target, _RAY_SINES)
                       for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())]
             assert n >= _RADIUS_BATCH
             assert batched.tolist() == scalar
@@ -444,21 +488,18 @@ def test_y_jets_lie_within_their_bounds(ny):
                                        (0.3, -20.0, 0.05, 1e-8), (6.0, 0.0, 0.2, 1e-8),
                                        (4.0, 2.0, 0.3, 1e-8)])
 def test_jet_tail_is_close_above_the_integral_it_bounds(y, z, h, tol):
-    # T_J in closed form against the integral over both rays of
-    # sum_{j > J} (h r^2/2)^j / j! times exp(|y| r^2/2 + |z| r - s r^5/5),
-    # which bounds the series' terms beyond J: above it, and within 50 times
+    # T_J in closed form against the integral over both rays of the
+    # per-ray bound on the series' terms beyond J, (h r^2/2)^(J+1) / (J+1)!
+    # times exp(S_2 (|y| + h) r^2/2 + S_1 z^- r - s r^5/5): above it, and
+    # within 50 times
     terms, tails = _jet_terms(y, np.array([z]), h, tol)
     j_last = int(terms[0])
     assert 0 <= j_last < 40 and tails[0] <= 0.05 * tol
+    s1, s2, _, s = _RAY_SINES
     r = np.linspace(0.0, 10.0, 20001)
-    x = 0.5 * h * r * r
-    term = x ** (j_last + 1) / math.factorial(j_last + 1)
-    total = term.copy()
-    for j in range(j_last + 2, j_last + 60):
-        term = term * x / j
-        total += term
+    term = (0.5 * h * r * r) ** (j_last + 1) / math.factorial(j_last + 1)
     integral = 2.0 * np.trapezoid(
-        total * np.exp(abs(y) * r * r / 2 + abs(z) * r - _RAY_SIN5 * r ** 5 / 5), r)
+        term * np.exp(s2 * (abs(y) + h) * r * r / 2 + s1 * max(-z, 0.0) * r - s * r ** 5 / 5), r)
     assert integral <= tails[0] <= 50.0 * integral
 
 

@@ -409,6 +409,22 @@ def test_scan_makes_one_kernel_call_in_passes(monkeypatch, cfg_fast):
     assert grid.flagged_cells == 0
 
 
+def test_wide_scan_serves_every_line_from_jets(monkeypatch):
+    # over z in [-24, 16] and y in [0, 3] the per-ray tail bound lets every
+    # one of the 40 lines meet tol/20, z = -24 included: one four-moment call
+    # of 40 centres and no direct call
+    calls = []
+
+    def counting(x, y, z, ks, cfg):
+        calls.append((x.size, ks))
+        return _integrate_points(x, y, z, ks, cfg)
+
+    monkeypatch.setattr(zeros, "_integrate_points", counting)
+    grid = modulus_scan((0.0, 3.0), (-24.0, 16.0), 40, 40, QuadratureConfig(target_abs_tol=1e-8))
+    assert calls == [(40, (0, 1, 2, 3))]
+    assert grid.flagged_cells == 0
+
+
 def test_scan_without_a_valid_half_tolerance_runs_direct(monkeypatch):
     # at tol 2e-307 a QuadratureConfig takes tol but not the centres' tol/2,
     # so no line is served from a jet and every cell goes to the direct call
@@ -492,9 +508,9 @@ def test_scan_memory_stays_bounded():
 
 
 def test_scan_memory_stays_bounded_over_many_lines():
-    # 5000 lines of 3 rows: jets serve most, many with 35 to 40 terms, and
-    # they go in slices as the kernel's passes do, so the peak stays that of
-    # one direct pass (about 3.3 MB), not the lines times their terms
+    # 5000 lines of 3 rows: jets serve every line, a quarter of them with 20
+    # to 23 terms, and they go in slices as the kernel's passes do, so the
+    # peak stays about 2.8 MB, not the lines times their terms
     cfg = QuadratureConfig(target_abs_tol=1e-8)
     tracemalloc.start()
     try:
