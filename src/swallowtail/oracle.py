@@ -29,7 +29,9 @@ The moments obey an exact recurrence (``_moment_recurrence``), so the first
 four at one point fix every moment there, and with them Q nearby:
 ``_y_jets`` gives Q(0, y, z) along a line of y values from the four at its
 centre, with a certified bound per value.  So a grid scan integrates at one
-point per line of cells instead of at every cell.
+point per line of cells instead of at every cell; ``zeros.modulus_scan``
+takes its lines in one loop, a four-moment kernel pass of centres and then
+their jets per slice.
 """
 
 from __future__ import annotations
@@ -483,6 +485,7 @@ def _jet_terms(y: float, z, h: float, tol: float):
     return terms, tails
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _y_jets(moments, estimates, y: float, z, deltas, terms, tails):
     """Q(0, y + d, z_l) for each offset d in ``deltas`` and line z_l in
     ``z``, from the moments m_0 .. m_3 at each centre (0, y, z_l) and their
@@ -493,23 +496,10 @@ def _y_jets(moments, estimates, y: float, z, deltas, terms, tails):
     j <= J make W(d) . (m_0 .. m_3), within sum_k |W_k(d)| e_k + T_J + a
     roundoff term of Q.  Returns the values and their bounds, both
     (offsets x lines); a line with a non-finite moment or estimate has
-    non-finite ones.  Lines go in slices as large as the kernel's passes of
-    centres, so the work space stays a few (offsets x slice) arrays and the
-    terms of one slice, and a line's result does not depend on its slice.
+    non-finite ones.  The work space is a few (offsets x lines) arrays and
+    the lines' terms, so ``zeros.modulus_scan`` passes its lines in slices
+    of one kernel pass of centres.
     """
-    values = np.empty((deltas.size, z.size), dtype=complex)
-    bounds = np.empty((deltas.size, z.size))
-    step = _POINT_PASS // moments.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(0, z.size, step):
-            part = slice(s, s + step)
-            values[:, part], bounds[:, part] = _y_jet_slice(
-                moments[part], estimates[part], y, z[part], deltas, terms[part], tails[part])
-    return values, bounds
-
-
-def _y_jet_slice(moments, estimates, y: float, z, deltas, terms, tails):
-    """``_y_jets`` on one slice of lines."""
     count = int(terms.max()) + 1
     # per line, A_2j's four entries and, fifth, the majorant recurrence run
     # on |m_0| .. |m_3|, which bounds the terms' moduli: (lines x 5 x count)

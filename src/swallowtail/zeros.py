@@ -19,7 +19,7 @@ import numpy as np
 
 from .asymptotics import Branch, ZeroPrediction, axis_envelope, predicted_zero
 from .errors import DomainError, NoConvergence, SeedOutOfRange, ToleranceNotReached
-from .oracle import _integrate, _integrate_points, _jet_terms, _y_jets
+from .oracle import _POINT_PASS, _integrate, _integrate_points, _jet_terms, _y_jets
 from .oracle import eval_q  # noqa: F401  (zeros.eval_q stays importable for code that wraps it)
 from .params import Form, QuadratureConfig, RefineConfig
 
@@ -243,33 +243,6 @@ class ScanGrid:
             json.dump(self.to_json_dict(), fh, indent=2)
 
 
-def _jet_cells(ys, zs, cfg: QuadratureConfig):
-    """The values of a scan's cells and whether each is 'ok' from a jet,
-    both (ny x nz); cells no jet serves are 0 and not ok."""
-    tol = cfg.target_abs_tol
-    values = np.zeros((ys.size, zs.size), dtype=complex)
-    ok = np.zeros((ys.size, zs.size), dtype=bool)
-    # jets only where they pay (_JET_SETUP_CELLS); at most nz lines are served
-    saved_per_line = ys.size - _JET_CENTRE_CELLS
-    if saved_per_line * zs.size >= _JET_SETUP_CELLS:
-        y_c = 0.5 * (ys[0] + ys[-1])
-        deltas = ys - y_c
-        terms, tails = _jet_terms(y_c, zs, float(np.abs(deltas).max()), tol)
-        served = np.flatnonzero(terms >= 0)
-        try:
-            centre_cfg = dataclasses.replace(cfg, target_abs_tol=0.5 * tol)
-        except ValueError:              # tol/2 is no valid tolerance: no jets
-            served = served[:0]
-        if saved_per_line * served.size >= _JET_SETUP_CELLS:
-            moments, estimates, _, centre_ok = _integrate_points(
-                np.zeros(served.size), np.full(served.size, y_c), zs[served], (0, 1, 2, 3),
-                centre_cfg)
-            values[:, served], bounds = _y_jets(moments, estimates, y_c, zs[served], deltas,
-                                                terms[served], tails[served])
-            ok[:, served] = centre_ok & (bounds <= tol)
-    return values, ok
-
-
 def modulus_scan(y_range, z_range, ny: int, nz: int,
                  cfg: QuadratureConfig | None = None) -> ScanGrid:
     """Evaluate |Q(0, y, z)| on a regular grid.
@@ -278,14 +251,16 @@ def modulus_scan(y_range, z_range, ny: int, nz: int,
     the tolerance (``oracle._jet_terms``, which needs no quadrature) is
     served by that jet (``oracle._y_jets``) if jets pay, that is if the s
     such lines have s (ny - ``_JET_CENTRE_CELLS``) >= ``_JET_SETUP_CELLS``.
-    The four moments at the line's centre y_c = (y_0 + y_last)/2, from one
-    kernel call for all served lines at half the tolerance, give every cell
-    of the line with a bound of its own.  A cell is 'ok' where its centre
-    met its budget and its bound is within the tolerance.  Every other cell
-    goes to one direct kernel call, which sizes its own passes over them in
-    row-major order and gives each the value and flag of its one-point
-    result: cells where the quadrature budget runs out are flagged
-    'tol_miss' and keep their best-effort value.
+    One loop takes the served lines in slices of one four-moment kernel
+    pass: each slice's kernel call gives the four moments at its lines'
+    centres y_c = (y_0 + y_last)/2, at half the tolerance, and its jets give
+    every cell of those lines with a bound of its own, so the work space
+    stays that of one pass.  A cell is 'ok' where its centre met its budget
+    and its bound is within the tolerance.  Every other cell goes to one
+    direct kernel call, which sizes its own passes over them in row-major
+    order and gives each the value and flag of its one-point result: cells
+    where the quadrature budget runs out are flagged 'tol_miss' and keep
+    their best-effort value.
     """
     if not all(math.isfinite(v) for v in (*y_range, *z_range)):
         raise ValueError("scan ranges must be finite")
@@ -296,9 +271,29 @@ def modulus_scan(y_range, z_range, ny: int, nz: int,
     if nz == 1 and z_range[0] != z_range[1]:
         raise ValueError("single-column scan needs a degenerate z range a:a")
     cfg = cfg or QuadratureConfig()
+    tol = cfg.target_abs_tol
     ys = np.linspace(y_range[0], y_range[1], ny)
     zs = np.linspace(z_range[0], z_range[1], nz)
-    values, ok = _jet_cells(ys, zs, cfg)
+    values = np.zeros((ny, nz), dtype=complex)
+    ok = np.zeros((ny, nz), dtype=bool)
+    y_c = 0.5 * (ys[0] + ys[-1])
+    deltas = ys - y_c
+    terms, tails = _jet_terms(y_c, zs, float(np.abs(deltas).max()), tol)
+    served = np.flatnonzero(terms >= 0)
+    try:
+        centre_cfg = dataclasses.replace(cfg, target_abs_tol=0.5 * tol)
+    except ValueError:                  # tol/2 is no valid tolerance: no jets
+        served = served[:0]
+    if (ny - _JET_CENTRE_CELLS) * served.size < _JET_SETUP_CELLS:
+        served = served[:0]
+    step = _POINT_PASS // 4
+    for s in range(0, served.size, step):
+        lines = served[s:s + step]
+        moments, estimates, _, centre_ok = _integrate_points(
+            np.zeros(lines.size), np.full(lines.size, y_c), zs[lines], (0, 1, 2, 3), centre_cfg)
+        values[:, lines], bounds = _y_jets(moments, estimates, y_c, zs[lines], deltas,
+                                           terms[lines], tails[lines])
+        ok[:, lines] = centre_ok & (bounds <= tol)
     direct = ~ok
     if direct.any():
         i, j = np.nonzero(direct)
