@@ -21,7 +21,7 @@ from .asymptotics import Branch, ZeroPrediction, axis_envelope, predicted_zero
 from .errors import DomainError, NoConvergence, SeedOutOfRange, ToleranceNotReached
 from .oracle import _POINT_PASS, _integrate, _integrate_points, _jet_terms, _y_jets
 from .oracle import eval_q  # noqa: F401  (zeros.eval_q stays importable for code that wraps it)
-from .params import Form, QuadratureConfig, RefineConfig
+from .params import Form, QuadratureConfig, RefineConfig, _check_count
 
 # Beyond these bounds a 2D Newton iterate is recorded as divergent, and a
 # seed is refused.
@@ -260,12 +260,13 @@ def modulus_scan(y_range, z_range, ny: int, nz: int,
     direct kernel call, which sizes its own passes over them in row-major
     order and gives each the value and flag of its one-point result: cells
     where the quadrature budget runs out are flagged 'tol_miss' and keep
-    their best-effort value.
+    their best-effort value.  ``ny`` and ``nz`` must be integers (bool not)
+    of at least 1; ``ValueError`` otherwise.
     """
     if not all(math.isfinite(v) for v in (*y_range, *z_range)):
         raise ValueError("scan ranges must be finite")
-    if ny < 1 or nz < 1:
-        raise ValueError("resolution must be at least 1 point per axis")
+    _check_count("ny", ny, 1)
+    _check_count("nz", nz, 1)
     if ny == 1 and y_range[0] != y_range[1]:
         raise ValueError("single-row scan needs a degenerate y range a:a")
     if nz == 1 and z_range[0] != z_range[1]:

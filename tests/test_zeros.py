@@ -380,6 +380,10 @@ def test_scan_validation():
         modulus_scan((0.0, 1.0), (0.0, 1.0), 1, 2)   # non-degenerate range, 1 row
     with pytest.raises(ValueError, match="single-column scan"):
         modulus_scan((0.0, 1.0), (0.0, 1.0), 2, 1)   # non-degenerate range, 1 column
+    # counts follow the config classes' rule: integers, bool not
+    for ny, nz in ((2.0, 2), (math.nan, 2), (True, 2), (2, 3.0), (2, math.inf), (2, False)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            modulus_scan((0.0, 1.0), (0.0, 1.0), ny, nz)
 
 
 @pytest.mark.parametrize("y_range, z_range", [
