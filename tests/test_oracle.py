@@ -309,13 +309,16 @@ def test_batched_moments_match_single_points():
         one = _integrate_points(x[i:i + 1], y[i:i + 1], z[i:i + 1], (0, 1, 2), cfg)
         assert (one[0][0] == values[i]).all() and (one[1][0] == estimates[i]).all()
         assert one[2][0] == panels[i] and one[3][0] == ok[i]
-    # behind 280 other points the same 320 straddle the kernel's first pass
-    # boundary, and each keeps its result bit for bit
+    # with three moments a pass holds _POINT_PASS // 3 = 170 points, so 600
+    # break into passes at 170, 340 and 510: behind 280 other points the
+    # same 320 straddle the boundaries at 340 and 510, and each keeps its
+    # result bit for bit
     x2, y2 = rng.uniform(-2.0, 2.0, 280), rng.uniform(-3.0, 3.0, 280)
     z2 = rng.uniform(-24.0, 16.0, 280)
     longer = _integrate_points(np.concatenate((x2, x)), np.concatenate((y2, y)),
                                np.concatenate((z2, z)), (0, 1, 2), cfg)
-    assert 280 < _POINT_PASS < 600
+    step = _POINT_PASS // 3
+    assert list(range(step, 600, step)) == [170, 340, 510]
     for got, want in zip(longer, (values, estimates, panels, ok)):
         assert (got[280:] == want).all()
 
