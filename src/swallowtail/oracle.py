@@ -496,36 +496,42 @@ def _y_jets(moments, estimates, y: float, z, deltas, terms, tails):
     j <= J make W(d) . (m_0 .. m_3), within sum_k |W_k(d)| e_k + T_J + a
     roundoff term of Q.  Returns the values and their bounds, both
     (offsets x lines); a line with a non-finite moment or estimate has
-    non-finite ones.  The work space is a few (offsets x lines) arrays and
-    the lines' terms, so ``zeros.modulus_scan`` passes its lines in slices
-    of one kernel pass of centres.
+    non-finite ones.  A line's values and bounds do not depend on the other
+    lines passed with it, bit for bit.  The work space is a few
+    (offsets x lines) arrays and the lines' terms, so ``zeros.modulus_scan``
+    passes its lines in slices of one kernel pass of centres.
     """
     count = int(terms.max()) + 1
     # per line, A_2j's four entries and, fifth, the majorant recurrence run
-    # on |m_0| .. |m_3|, which bounds the terms' moduli: (lines x 5 x count)
+    # on |m_0| .. |m_3|, which bounds the terms' moduli: (lines x 5 x count).
+    # Complex coefficients spare the recurrence numpy's buffered casts, and
+    # with a zero imaginary part each product rounds as the real one would
     start = np.zeros((4, z.size, 5), dtype=complex)
     start[:, :, :4] = np.eye(4)[:, None]
     start[:, :, 4] = np.abs(moments).T
-    column_y = np.array([y, y, y, y, -abs(y)])
-    column_z = np.concatenate((np.repeat(z[:, None], 4, axis=1), -np.abs(z)[:, None]), axis=1)
+    column_y = np.array([y, y, y, y, -abs(y)], dtype=complex)
+    column_z = np.empty((z.size, 5), dtype=complex)
+    column_z[:, :4], column_z[:, 4] = z[:, None], -np.abs(z)
     a = _moment_recurrence(start, column_y, column_z, 2 * count - 2, step=2,
                            unit=np.array([1j, 1j, 1j, 1j, 1.0]))
     # c_j(d) = i^j r_j(d), with r_j = (d/2)^j / j! real and a row per
     # offset; i^j goes into A_2j exactly, so the products are real, and
     # each line's terms beyond its J are zero.  The products go line by
     # line, as one product over every line can cross BLAS's threading
-    # threshold, whose threads cost far more than they save
+    # threshold, whose threads cost far more than they save, and each runs
+    # over all _JET_TERMS + 1 terms: BLAS groups a sum's terms by its
+    # length, so a line's sums would otherwise depend on the largest J of
+    # the lines passed with it
     within = np.arange(count) <= terms[:, None]
     a[:, :4] *= np.where(within, np.array([1, 1j, -1, -1j])[np.arange(count) % 4], 0)[:, None]
     a[:, 4] *= within
+    a = np.concatenate((a, np.zeros(a.shape[:2] + (_JET_TERMS + 1 - count,))), axis=2)
     r = np.cumprod(np.hstack((np.ones((deltas.size, 1)),
-                              0.5 * deltas[:, None] / np.arange(1.0, count))), axis=1)
-    values = np.zeros((z.size, deltas.size), dtype=complex)
-    spread = np.zeros((z.size, deltas.size))
-    for k in range(4):
-        w = (r @ a[:, k].view(float).reshape(z.size, count, 2)).view(complex)[..., 0]
-        values += w * moments[:, k, None]
-        spread += np.abs(w) * estimates[:, k, None]
+                              0.5 * deltas[:, None] / np.arange(1.0, _JET_TERMS + 1))), axis=1)
+    # W_k(d) per line, k and offset, then the sums over k in the order of k
+    w = (r @ a[:, :4].view(float).reshape(z.size, 4, -1, 2)).view(complex)[..., 0]
+    values = (w * moments[..., None]).sum(axis=1)
+    spread = (np.abs(w) * estimates[..., None]).sum(axis=1)
     # each computed A_n is off by about n ulps of the majorant's A_n, and
     # c, W and W . m add a few more: 16 (J + 2) ulps of it covers them all
     roundoff = (terms[:, None] + 2) * 2.0 ** -48 * (np.abs(r) @ a[:, 4, :, None].real)[..., 0]

@@ -486,6 +486,36 @@ def test_y_jets_lie_within_their_bounds(ny):
                            <= bounds[finite] + direct_est[:, 0]).all()
 
 
+def test_y_jet_line_does_not_depend_on_its_slice():
+    # on random bands whose lines need different numbers of terms, each
+    # line's values and bounds are the same, bit for bit, from a call with
+    # the whole band as from a call with that line alone
+    rng = np.random.default_rng(20261019)
+    zs = np.linspace(-24.0, 16.0, 120)
+    lines = moved = 0
+    for _ in range(12):
+        tol = 10.0 ** rng.uniform(-10.0, -6.0)
+        y0, width = rng.uniform(-1.0, 1.0), rng.uniform(0.1, 3.0)
+        deltas = np.linspace(-0.5 * width, 0.5 * width, rng.integers(5, 31))
+        y_c = y0 + 0.5 * width
+        terms, tails = _jet_terms(y_c, zs, 0.5 * width, tol)
+        served = np.flatnonzero(terms >= 0)
+        moments, estimates, _, _ = _integrate_points(
+            np.zeros(served.size), np.full(served.size, y_c), zs[served], (0, 1, 2, 3),
+            QuadratureConfig(target_abs_tol=0.5 * tol))
+        values, bounds = _y_jets(moments, estimates, y_c, zs[served], deltas, terms[served],
+                                 tails[served])
+        assert np.unique(terms[served]).size > 1
+        for n, line in enumerate(served):
+            one, alone = slice(n, n + 1), slice(line, line + 1)
+            value, bound = _y_jets(moments[one], estimates[one], y_c, zs[alone], deltas,
+                                   terms[alone], tails[alone])
+            moved += not ((value[:, 0] == values[:, n]).all()
+                          and (bound[:, 0] == bounds[:, n]).all())
+        lines += served.size
+    assert lines > 1000 and moved == 0
+
+
 @pytest.mark.parametrize("y,z,h,tol", [(0.5, -3.0, 0.5, 1e-4), (0.0, 2.0, 0.3, 1e-6),
                                        (0.5, -5.0, 1.0, 1e-8), (2.0, 8.0, 1.0, 1e-6),
                                        (0.3, -20.0, 0.05, 1e-8), (6.0, 0.0, 0.2, 1e-8),
