@@ -475,7 +475,10 @@ def _jet_terms(y: float, z, h: float, tol: float):
         log_f = 0.3 * big_y * rb * rb + 0.8 * big_z * rb
         # log T_J - F for each J, and its running minimum, which falls: so
         # the least J that meets the share is a search, one per line
-        log_tail = _JET_TAIL_LOG + np.arange(1, _JET_TERMS + 2) * (math.log(0.5 * h) if h
+        # h/2 underflows to 0 only at the least subnormal h, whose tail, about
+        # h e^F, lies far below the last bit of any cell's bound
+        half = 0.5 * h
+        log_tail = _JET_TAIL_LOG + np.arange(1, _JET_TERMS + 2) * (math.log(half) if half
                                                                    else -math.inf)
         least = np.minimum.accumulate(log_tail)
         terms = np.searchsorted(-least, log_f - math.log(_JET_TAIL_SHARE * tol))

@@ -513,8 +513,8 @@ def test_scan_memory_stays_bounded():
 
 def test_scan_memory_stays_bounded_over_many_lines():
     # 5000 lines of 3 rows: jets serve every line, a quarter of them with 20
-    # to 23 terms, and they go in slices as the kernel's passes do, so the
-    # peak stays about 2.8 MB, not the lines times their terms
+    # to 23 terms, and the scan takes them in slices of one kernel pass, so
+    # the peak stays about 2.6 MB, not the lines times their terms
     cfg = QuadratureConfig(target_abs_tol=1e-8)
     tracemalloc.start()
     try:
@@ -586,6 +586,14 @@ def test_scan_cells_hold_the_tolerance():
         assert (np.abs(grid.abs_q[i, j] - np.abs(direct[:, 0])) <= tol + estimates[:, 0]).all()
 
     check()
+
+
+@pytest.mark.parametrize("ny, nz", [(2, 3), (3, 48)])
+def test_scan_over_a_subnormal_y_band(ny, nz):
+    # half the band's width underflows to 0; the jets' tail takes it as 0
+    # instead of failing on log(0)
+    grid = modulus_scan((0.0, 1e-323), (0.0, 1.0), ny, nz, QuadratureConfig(1e-8))
+    assert grid.flagged_cells == 0
 
 
 def test_scan_where_the_kernel_overflows_is_all_misses():
