@@ -7,7 +7,8 @@ the z-axis.
 
 Importing the package loads none of its modules: each exported name is
 imported from its module on first access (PEP 562), so code that needs
-only the closed-form zeros never loads numpy.
+only the closed-form zeros, the saddle points or their steepest curves never
+loads numpy.
 """
 
 import importlib

@@ -7,9 +7,9 @@ tracing, 5 unwritable output path.
 
 Start-up cost is paid per command: each ``cmd_*`` imports the library
 functions it runs, and the parser reads its defaults from numpy-free
-modules.  ``zeros predict``, ``--help`` and ``--version`` never load numpy;
-``eval``, ``saddles``, ``trace``, ``zeros refine``, ``zeros confine`` and
-``scan`` load it when they compute.
+modules.  ``zeros predict``, ``saddles``, ``trace``, ``--help`` and
+``--version`` never load numpy; ``eval``, ``zeros refine``, ``zeros confine``
+and ``scan`` load it when they compute.
 """
 
 from __future__ import annotations

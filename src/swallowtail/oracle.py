@@ -333,6 +333,11 @@ def _integrate_points(x, y, z, ks, cfg: QuadratureConfig):
     return tuple(np.concatenate(columns) for columns in zip(*passes))
 
 
+def _ray_budget(cfg: QuadratureConfig) -> float:
+    """Each ray's share of the error: half of what the two tails leave."""
+    return 0.5 * cfg.target_abs_tol * (1.0 - 1.0 / cfg.truncation_safety)
+
+
 def _integrate_pass(x, y, z, ks, cfg, w, sines):
     """``_integrate_points`` on one pass of at most ``_POINT_PASS`` / len(ks)
     points; w holds the two rays' directions, outgoing one first, and sines
@@ -344,7 +349,7 @@ def _integrate_pass(x, y, z, ks, cfg, w, sines):
     k_max = max(ks)
     radius = _truncation_radii(x, y, z, k_max, log_target, sines)
     trunc_bound = tol / safety          # both ray tails combined
-    ray_budget = 0.5 * tol * (1.0 - 1.0 / safety)
+    ray_budget = _ray_budget(cfg)
 
     # group 2i leaves the origin on ray 0, group 2i + 1 comes in on ray 1;
     # a complex column per group: its ray's direction and its point's x/3, y/2, z
@@ -412,9 +417,11 @@ def _integrate(x: float, y: float, z: float, ks,
     results = tuple(EvalResult(complex(v), float(e), n)
                     for v, e in zip(values[0], estimates[0]))
     if not ok[0]:
+        # the verdict is per ray: the summed estimate may lie below the target
         raise ToleranceNotReached(
-            f"quadrature estimate {estimates.max():.3e} above target "
-            f"{cfg.target_abs_tol:.3e} after {n} panels",
+            f"a ray's quadrature error estimate exceeded its budget "
+            f"0.5*tol*(1 - 1/safety) = {_ray_budget(cfg):.3e} after {n} panels "
+            f"(summed estimate {estimates.max():.3e}, target {cfg.target_abs_tol:.3e})",
             partial=results[0],
         )
     return results

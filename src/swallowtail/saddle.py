@@ -13,7 +13,8 @@ gamma = y / |z|^(3/4).  The saddle points are the roots of the quartic
 whose configuration switches at the caustic value gamma = 4 / 3^(3/4):
 below it (z > 0) the roots form two complex-conjugate pairs, while for
 z < 0 (any gamma >= 0) or z > 0 beyond the caustic there is one real pair
-plus one conjugate pair.
+plus one conjugate pair.  The quartic is solved in pure Python, through
+Ferrari's resolvent cubic, so this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -161,15 +162,68 @@ def caustic_gamma() -> float:
     return 4.0 * 3.0 ** -0.75
 
 
-def _polish(roots, gamma: float, sigma: float):
-    """Two Newton steps on each companion-matrix eigenvalue (a numpy array)."""
-    import numpy as np   # loaded by _solve_saddles already
-    for _ in range(2):
-        fp = roots ** 4 + gamma * roots + sigma
-        fpp = 4.0 * roots ** 3 + gamma
-        mask = np.abs(fpp) > 1e-30
-        roots = np.where(mask, roots - fp / np.where(mask, fpp, 1.0), roots)
-    return roots
+def _resolvent(g: float, sigma: int):
+    """(a, g/a) for a = sqrt(u), u the largest real root of Ferrari's resolvent
+    u^3 - 4 sigma u - g^2 = 0 (g = |gamma|).  Each branch keeps g^2 from
+    overflowing or underflowing."""
+    if sigma < 0 and g < 1.0:
+        # u = g^2 / (4 + u^2), a contraction in a = g / sqrt(4 + a^4);
+        # g/a is that square root, so a subnormal a is never divided by
+        a = w = 0.0
+        for _ in range(50):
+            w = math.sqrt(4.0 + a ** 4)
+            a_next = g / w
+            if a_next == a:
+                break
+            a = a_next
+        return a, w
+    if g > 1e100:
+        a = math.cbrt(g)              # u = g^(2/3) to 4/(3u^2) relative
+        return a, g / a
+    # Newton from above the root, where the cubic is increasing and convex
+    u = g ** (2.0 / 3.0) + (2.0 if sigma > 0 else 0.0)
+    while True:
+        u_next = u - (u * u * u - 4.0 * sigma * u - g * g) / (3.0 * u * u - 4.0 * sigma)
+        if not u_next < u:
+            break
+        u = u_next
+    a = math.sqrt(u)
+    return a, g / a
+
+
+def _quadratic_roots(p: float, q: float):
+    """The roots of t^2 + p t + q, as two equal floats when the discriminant
+    is within its rounding of zero (a double root)."""
+    d = p * p - 4.0 * q
+    if abs(d) <= 8.0 * sys.float_info.epsilon * (p * p + 4.0 * abs(q)):
+        return [complex(-0.5 * p)] * 2
+    if d < 0.0:
+        s = 0.5 * math.sqrt(-d)
+        return [complex(-0.5 * p, s), complex(-0.5 * p, -s)]
+    r = -0.5 * (p + math.copysign(math.sqrt(d), p))     # no cancellation
+    return [complex(r), complex(q / r)]
+
+
+def _quartic_roots(gamma: float, sigma: int):
+    """The four roots of t^4 + gamma t + sigma, by Ferrari's factorisation
+    (t^2 + a t + b)(t^2 - a t + c) with b + c = a^2, c - b = gamma/a and
+    b c = sigma (DLMF 1.11(iii)), each simple root then given two Newton steps."""
+    a, w = _resolvent(abs(gamma), sigma)
+    # the larger of b and c from their sum, the other from b c = sigma:
+    # their difference would cancel to 0 for the small root at huge |gamma|
+    big = 0.5 * (a * a + w)
+    b, c = (sigma / big, big) if gamma > 0.0 else (big, sigma / big)
+    roots = _quadratic_roots(a, b) + _quadratic_roots(-a, c)
+    # a double root stays as its factor gives it: f'' vanishes there too, so a
+    # Newton step would be rounding noise divided by rounding noise
+    return [t if roots.count(t) > 1 else _newton(_newton(t, gamma, sigma), gamma, sigma)
+            for t in roots]
+
+
+def _newton(t: complex, gamma: float, sigma: int) -> complex:
+    """One Newton step on t^4 + gamma t + sigma, or t where f'' nearly vanishes."""
+    fpp = 4.0 * t ** 3 + gamma
+    return t - (t ** 4 + gamma * t + sigma) / fpp if abs(fpp) > 1e-30 else t
 
 
 def _degenerate_set(roots) -> SaddleSet:
@@ -191,14 +245,11 @@ def saddles(sp: ScaledParams) -> SaddleSet:
 
 @functools.lru_cache(maxsize=16)
 def _solve_saddles(gamma: float, gamma_sign: float, sign_z: ZSign) -> SaddleSet:
-    # numpy loads on the first solve, not on import: the closed-form zero
-    # predictions import this module and never solve the quartic
-    import numpy as np
-    sigma = sign_z.value
-    raw = _polish(np.roots([1.0, 0.0, 0.0, gamma, sigma]), gamma, sigma)
-    is_real = np.abs(raw.imag) <= _PAIR_TOL * np.maximum(1.0, np.abs(raw))
-    reals = [complex(r) for r in sorted(raw.real[is_real].tolist(), reverse=True)]
-    cpx = raw[~is_real].tolist()
+    raw = _quartic_roots(gamma, sign_z.value)
+    is_real = [abs(r.imag) <= _PAIR_TOL * max(1.0, abs(r)) for r in raw]
+    reals = [complex(x) for x in sorted((r.real for r, real in zip(raw, is_real) if real),
+                                        reverse=True)]
+    cpx = [r for r, real in zip(raw, is_real) if not real]
     upper = sorted((r for r in cpx if r.imag > 0), key=lambda r: -r.real)
     lower = sorted((r for r in cpx if r.imag < 0), key=lambda r: -r.real)
     if ((len(reals), len(upper), len(lower)) not in ((0, 2, 2), (2, 1, 1))

@@ -451,6 +451,10 @@ def test_cold_start_loads_numpy_only_to_compute():
                               f"sys.exit(main({predict!r}))"],
         "eval": ["-m", "swallowtail", "eval", "--x", "0", "--y", "0", "--z", "0",
                  "--tol", "1e-6"],
+        # the saddle quartic is solved in pure Python
+        "saddles": ["-m", "swallowtail", "saddles", "--y", "1", "--z", "2"],
+        "trace": ["-m", "swallowtail", "trace", "--y", "0.5", "--z=-1", "--saddle", "1",
+                  "--direction", "right"],
     }
     # all children at once; -X importtime lists every module each one imports
     procs = {name: subprocess.Popen([sys.executable, "-X", "importtime", *argv],

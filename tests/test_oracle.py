@@ -210,6 +210,19 @@ def test_tolerance_not_reached_carries_partial():
     assert partial.abs_error_estimate > cfg.target_abs_tol
 
 
+def test_tolerance_miss_names_the_ray_budget():
+    # the verdict is per ray: here the summed estimate 8.356e-07 lies below
+    # the target 1e-6, while one ray's share exceeds its budget 4.5e-07
+    cfg = QuadratureConfig(1e-6, max_subdivisions=12)
+    with pytest.raises(ToleranceNotReached) as err:
+        eval_q(Params(0.0, 1.5, -16.25), cfg)
+    message = str(err.value)
+    assert "a ray's quadrature error estimate exceeded its budget" in message
+    assert "0.5*tol*(1 - 1/safety) = 4.500e-07" in message
+    assert "summed estimate 8.356e-07" in message and "target 1.000e-06" in message
+    assert err.value.partial.abs_error_estimate < cfg.target_abs_tol
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(target_abs_tol=0.0)
