@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import swallowtail
-from swallowtail import Form, QuadratureConfig, RefineConfig, ScanGrid, trace_steepest
+from swallowtail import (Direction, Form, QuadratureConfig, RefineConfig, ScaledParams, ScanGrid,
+                         ZSign, trace_steepest)
 from swallowtail import asymptotics, cli, zeros
 from swallowtail.cli import build_parser, main
 from swallowtail.schema import validate_envelope
@@ -86,7 +87,8 @@ def test_trace_negative_axis_right(capsys):
                             "--saddle", "0", "--direction", "right"])
     assert env["results"]["terminal_sector"] == 0
     assert env["results"]["terminal_angle"] == pytest.approx(math.pi / 10.0)
-    assert len(env["results"]["points"]) > 100
+    path = trace_steepest(ScaledParams(1.0, 0.0, ZSign.NEGATIVE), 0, Direction.RIGHT)
+    assert env["results"]["points"] == path.to_polyline()
 
 
 def test_zeros_predict(capsys):
@@ -475,7 +477,7 @@ def test_closed_stdout_exits_1_without_traceback():
     # when the reader stops after one line, as `| head -1` does
     proc = subprocess.Popen(
         [sys.executable, "-m", "swallowtail", "trace", "--y", "0", "--z=-1",
-         "--saddle", "0", "--direction", "right", "--step", "0.001"],
+         "--saddle", "0", "--direction", "right", "--step", "0.0001"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
     try:
         assert proc.stdout.readline().strip() == "{"
