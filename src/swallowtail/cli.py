@@ -273,7 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--z", type=float, required=True)
     p_trace.add_argument("--saddle", type=int, choices=range(4), required=True)
     p_trace.add_argument("--direction", choices=["left", "right"], required=True)
-    p_trace.add_argument("--step", type=float, default=trace_defaults["step"])
+    p_trace.add_argument("--step", type=float, default=trace_defaults["step"],
+                         help="step near the saddles; beyond 1.5x the largest saddle "
+                              "modulus it grows to |t|/10")
     p_trace.add_argument("--cutoff", type=float, default=trace_defaults["cutoff_radius"])
     p_trace.set_defaults(func=cmd_trace)
 

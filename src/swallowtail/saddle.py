@@ -318,6 +318,13 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     The step is halved whenever the corrector fails or descent-monotonicity
     breaks; running out of step length signals a saddle collision, and a
     trace still inside the cutoff after 40 000 steps raises ``PathStalled``.
+    Inside r_far = 1.5 max|t_j| the step is capped at ``step`` and doubles
+    back towards it after 5 accepted points. From r_far on, where every
+    saddle is at least |t|/3 away and the branch is nearly a ray into its
+    valley, each accepted point sets the step to the least of
+    max(step, |t|/10), twice the step just taken and
+    cutoff_radius - |t| + step, so the last point stays within one ``step``
+    of the cutoff radius.
     The saddles come from the cache of ``saddles`` (keyed on gamma with its
     sign bit and on the sign of z): one root solve per (gamma, sign z).
 
@@ -372,6 +379,8 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     half_gamma = 0.5 * gamma
     sigma = complex(sign_z.value)
     level_tols = (1e-10,) * 12 + (1e-9,)
+    # beyond r_far every saddle is at least |t| - |t|/1.5 = |t|/3 away
+    r_far = 1.5 * max(abs(r) for r in sset.roots)
 
     points = [t0]
     append = points.append
@@ -412,11 +421,16 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
             t, fp_t, h_prev = u, fp, height
             append(t)
             good_streak += 1
-            if good_streak >= 5 and dt < step:
+            r = abs(t)
+            if not r < cutoff_radius:
+                break
+            if r >= r_far:
+                dt = min(max(step, r / 10.0), 2.0 * dt, cutoff_radius - r + step)
+            elif dt > step:
+                dt = step           # back inside r_far
+            elif good_streak >= 5 and dt < step:
                 dt = min(step, 2.0 * dt)
                 good_streak = 0
-            if not abs(t) < cutoff_radius:
-                break
         steps += 1
         if steps > 40000:
             raise stalled("step budget exhausted before reaching the cutoff radius", t)
