@@ -667,8 +667,6 @@ def _assert_matches_reference(sp, k, direction, **controls):
     n = next((i + 1 for i, t in enumerate(reference.points) if abs(t) >= r_far),
              len(reference.points))
     assert path.points[:n] == reference.points[:n]
-    if n < len(reference.points):
-        assert _distances_to_polyline(reference.points[n:], path.points[n - 1:]).max() <= 2.5e-3
     f0 = phase(path.points[0], sp.gamma, sp.sign_z)
     heights = [0.0]
     for t in path.points[1:]:
@@ -679,6 +677,13 @@ def _assert_matches_reference(sp, k, direction, **controls):
     step = controls.get("step", 0.01)
     cutoff = controls.get("cutoff_radius", 8.0)
     assert cutoff <= abs(path.points[-1]) <= cutoff + step
+    # the reference points past the prefix and not below the path's last
+    # height lie on the stretch of curve that both cover: the path's last
+    # step may stop short of the reference's last point by up to one step
+    covered = [t for t in reference.points[n:]
+               if -(phase(t, sp.gamma, sp.sign_z) - f0).imag >= heights[-1]]
+    if covered:
+        assert _distances_to_polyline(covered, path.points[n - 1:]).max() <= 2.5e-3
 
 
 def test_trace_is_bit_identical_to_reference():
