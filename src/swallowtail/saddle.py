@@ -318,11 +318,13 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     The step is halved whenever the corrector fails or descent-monotonicity
     breaks; running out of step length signals a saddle collision, and a
     trace still inside the cutoff after 40 000 steps raises ``PathStalled``.
-    Inside r_far = 1.5 max|t_j| the step is capped at ``step`` and doubles
-    back towards it after 5 accepted points. From r_far on, where every
-    saddle is at least |t|/3 away and the branch is nearly a ray into its
-    valley, each accepted point sets the step to the least of
-    max(step, |t|/10), twice the step just taken and
+    Inside r_far = 1.5 max|t_j| the step has a cap and doubles back towards
+    it after 5 accepted points. The cap is ``step`` while the branch may
+    still run through the conjugate partner of t_k (see below), and
+    otherwise max(step, d/15), d the distance to the nearest other saddle.
+    From r_far on, where every saddle is at least |t|/3 away and the branch
+    is nearly a ray into its valley, each accepted point sets the step to
+    the least of max(step, |t|/10), twice the step just taken and
     cutoff_radius - |t| + step, so the last point stays within one ``step``
     of the cutoff radius.
     The saddles come from the cache of ``saddles`` (keyed on gamma with its
@@ -335,6 +337,10 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     passes through saddle 3.  Usually a step jumps past the partner and the
     trace ends in one of the partner's valleys; when a step lands on the
     partner, the trace raises ``PathStalled``, which is then the right answer.
+    Heights fall from 0 and the partner lies at height 2 Im f(t_k), so only
+    a saddle with Im f(t_k) < 0 can meet it, and only while the height is
+    above 2 Im f(t_k): there the step keeps the fixed cap, so which of these
+    connections stall does not depend on the growing step.
     A ``PathStalled`` carries k, the direction and the point where the
     trace stopped.
 
@@ -381,6 +387,11 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     level_tols = (1e-10,) * 12 + (1e-9,)
     # beyond r_far every saddle is at least |t| - |t|/1.5 = |t|/3 away
     r_far = 1.5 * max(abs(r) for r in sset.roots)
+    # f(conj t) = conj f(t), so the conjugate partner of a complex t_k lies at
+    # height 2 Im f0, on this level set: while the branch is above that height
+    # (Im f0 < 0) it may run through the partner and keeps the fixed cap
+    h_partner = 2.0 * f0.imag if t0.imag != 0.0 and f0.imag < 0.0 else math.inf
+    s1, s2, s3 = (r for j, r in enumerate(sset.roots) if j != k)
 
     points = [t0]
     append = points.append
@@ -426,11 +437,15 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
                 break
             if r >= r_far:
                 dt = min(max(step, r / 10.0), 2.0 * dt, cutoff_radius - r + step)
-            elif dt > step:
-                dt = step           # back inside r_far
-            elif good_streak >= 5 and dt < step:
-                dt = min(step, 2.0 * dt)
-                good_streak = 0
+            else:
+                # elsewhere a 15th of the distance to the nearest other saddle
+                cap = step if height > h_partner else max(
+                    step, min(abs(t - s1), abs(t - s2), abs(t - s3)) / 15.0)
+                if dt > cap:
+                    dt = cap        # back inside r_far, or nearer a saddle
+                elif good_streak >= 5 and dt < cap:
+                    dt = min(cap, 2.0 * dt)
+                    good_streak = 0
         steps += 1
         if steps > 40000:
             raise stalled("step budget exhausted before reaching the cutoff radius", t)

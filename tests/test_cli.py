@@ -91,6 +91,14 @@ def test_trace_negative_axis_right(capsys):
     assert env["results"]["points"] == path.to_polyline()
 
 
+def test_trace_small_step_reaches_the_cutoff(capsys):
+    # between the saddles the step grows from 1e-5, so the branch ends well
+    # inside the 40 000-step budget
+    env = run_json(capsys, ["trace", "--y", "0", "--z=-1", "--saddle", "0",
+                            "--direction", "right", "--step", "0.00001"])
+    assert 8.0 <= math.hypot(*env["results"]["points"][-1]) <= 8.0 + 1e-5
+
+
 def test_zeros_predict(capsys):
     env = run_json(capsys, ["zeros", "predict", "--branch", "pos", "--m-max", "2"])
     zs = [p["z_predicted"] for p in env["results"]["predictions"]]
@@ -473,11 +481,12 @@ def test_cold_start_loads_numpy_only_to_compute():
 
 
 def test_closed_stdout_exits_1_without_traceback():
-    # the trace is far larger than a pipe buffer, so the CLI is still writing
-    # when the reader stops after one line, as `| head -1` does
+    # the trace (383 543 bytes: saddle 1 = i has Im f < 0, so its branches
+    # keep the fixed step) is far larger than a pipe buffer, so the CLI is
+    # still writing when the reader stops after one line, as `| head -1` does
     proc = subprocess.Popen(
         [sys.executable, "-m", "swallowtail", "trace", "--y", "0", "--z=-1",
-         "--saddle", "0", "--direction", "right", "--step", "0.0001"],
+         "--saddle", "1", "--direction", "right", "--step", "0.0001"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
     try:
         assert proc.stdout.readline().strip() == "{"

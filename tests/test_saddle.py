@@ -460,11 +460,12 @@ def test_trace_stalls_on_conjugate_saddle_connection():
 
 
 def test_trace_stalls_when_its_step_budget_runs_out():
-    # 40000 steps of 1e-6 cover 0.04, far short of the cutoff radius 2
+    # 40000 steps of 1e-6 cover 0.04, far short of the cutoff radius 2: saddle
+    # 1 = i has Im f = -0.8 < 0, so its branches keep the fixed step
     sp = ScaledParams(1.0, 0.0, ZSign.NEGATIVE)
     with pytest.raises(PathStalled, match="step budget exhausted") as info:
-        trace_steepest(sp, 0, Direction.RIGHT, step=1e-6, cutoff_radius=2.0)
-    assert abs(abs(info.value.point - saddles(sp).roots[0]) - 0.04) < 1e-3
+        trace_steepest(sp, 1, Direction.RIGHT, step=1e-6, cutoff_radius=2.0)
+    assert abs(abs(info.value.point - saddles(sp).roots[1]) - 0.04) < 1e-3
 
 
 def test_stall_names_where_the_trace_stopped():
@@ -536,6 +537,22 @@ def test_trace_step_grows_beyond_the_saddles():
     # 1.5 max|t_j| the step grows to |t|/10
     path = trace_steepest(ScaledParams(1.0, 0.0, ZSign.NEGATIVE), 0, Direction.RIGHT)
     assert len(path.points) < 100
+
+
+def test_trace_step_grows_between_the_saddles():
+    # saddle 0 = 1 is real, so no branch from it can meet a conjugate partner:
+    # inside r_far its step grows to a 15th of the distance to the nearest
+    # other saddle (79 points with the step fixed there)
+    path = trace_steepest(ScaledParams(1.0, 0.0, ZSign.NEGATIVE), 0, Direction.RIGHT)
+    assert len(path.points) < 50
+    # the left branch of saddle 3 runs past its partner, saddle 0, with the
+    # fixed step: bit for bit the reference's through its nearest point to it
+    sp = ScaledParams(1.0, 0.25, ZSign.POSITIVE)
+    t_partner = saddles(sp).roots[0]
+    reference = _reference_trace(sp, 3, Direction.LEFT).points
+    nearest = min(range(len(reference)), key=lambda i: abs(reference[i] - t_partner))
+    assert abs(reference[nearest] - t_partner) < 1e-2
+    assert trace_steepest(sp, 3, Direction.LEFT).points[:nearest + 2] == reference[:nearest + 2]
 
 
 # ------------------------------------------------ reference predictor-corrector
@@ -650,10 +667,14 @@ def _distances_to_polyline(points, polyline):
 
 def _assert_matches_reference(sp, k, direction, **controls):
     """The tracer against the fixed-step reference: the same outcome, and for
-    a stall the same message and point.  A path keeps the reference's points
-    bit for bit up to its first point at |t| >= 1.5 max|t_j|, where the step
-    starts to grow; beyond it the path follows the same curve into the same
-    valley and ends within one step of the cutoff."""
+    a stall the same message and point.  A branch that can run through the
+    conjugate partner of its saddle (a complex t_k with Im f(t_k) < 0; the
+    partner lies at height 2 Im f(t_k)) keeps the reference's points bit for
+    bit up to its first point at |t| >= 1.5 max|t_j| or at a height of at
+    most 2 Im f(t_k); on any other branch the step may grow from the first
+    point on, so only the saddle and that point are pinned.  Beyond the
+    prefix the path follows the same curve into the same valley and ends
+    within one step of the cutoff."""
     reference = _reference_outcome(sp, k, direction, **controls)
     try:
         path = trace_steepest(sp, k, direction, **controls)
@@ -663,11 +684,17 @@ def _assert_matches_reference(sp, k, direction, **controls):
     assert isinstance(reference, SteepestPath), reference
     assert (path.saddle_index, path.terminal_sector) == (
         reference.saddle_index, reference.terminal_sector)
-    r_far = 1.5 * max(abs(t) for t in saddles(sp).roots)
-    n = next((i + 1 for i, t in enumerate(reference.points) if abs(t) >= r_far),
-             len(reference.points))
+    roots = saddles(sp).roots
+    f0 = phase(roots[k], sp.gamma, sp.sign_z)
+    if roots[k].imag != 0.0 and f0.imag < 0.0:
+        r_far = 1.5 * max(abs(t) for t in roots)
+        n = next((i + 1 for i, t in enumerate(reference.points)
+                  if abs(t) >= r_far
+                  or -(phase(t, sp.gamma, sp.sign_z) - f0).imag <= 2.0 * f0.imag),
+                 len(reference.points))
+    else:
+        n = 2
     assert path.points[:n] == reference.points[:n]
-    f0 = phase(path.points[0], sp.gamma, sp.sign_z)
     heights = [0.0]
     for t in path.points[1:]:
         f = phase(t, sp.gamma, sp.sign_z)
