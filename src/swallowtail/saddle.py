@@ -438,7 +438,8 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
             if r >= r_far:
                 dt = min(max(step, r / 10.0), 2.0 * dt, cutoff_radius - r + step)
             else:
-                # elsewhere a 15th of the distance to the nearest other saddle
+                # while the partner may lie ahead the fixed cap, else a 15th
+                # of the distance to the nearest other saddle
                 cap = step if height > h_partner else max(
                     step, min(abs(t - s1), abs(t - s2), abs(t - s3)) / 15.0)
                 if dt > cap:

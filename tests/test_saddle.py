@@ -532,17 +532,11 @@ def test_polyline_serialization():
     assert poly[0][0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_trace_step_grows_beyond_the_saddles():
-    # a fixed step of 0.01 from |t| = 1 to 8 takes 710 points; beyond
-    # 1.5 max|t_j| the step grows to |t|/10
-    path = trace_steepest(ScaledParams(1.0, 0.0, ZSign.NEGATIVE), 0, Direction.RIGHT)
-    assert len(path.points) < 100
-
-
 def test_trace_step_grows_between_the_saddles():
-    # saddle 0 = 1 is real, so no branch from it can meet a conjugate partner:
-    # inside r_far its step grows to a 15th of the distance to the nearest
-    # other saddle (79 points with the step fixed there)
+    # a fixed step of 0.01 from |t| = 1 to 8 takes 710 points, and 79 when
+    # the step grows to |t|/10 only beyond r_far = 1.5 max|t_j|.  Saddle 0 = 1
+    # is real, so no branch from it can meet a conjugate partner: inside r_far
+    # its step grows to a 15th of the distance to the nearest other saddle
     path = trace_steepest(ScaledParams(1.0, 0.0, ZSign.NEGATIVE), 0, Direction.RIGHT)
     assert len(path.points) < 50
     # the left branch of saddle 3 runs past its partner, saddle 0, with the
@@ -551,7 +545,7 @@ def test_trace_step_grows_between_the_saddles():
     t_partner = saddles(sp).roots[0]
     reference = _reference_trace(sp, 3, Direction.LEFT).points
     nearest = min(range(len(reference)), key=lambda i: abs(reference[i] - t_partner))
-    assert abs(reference[nearest] - t_partner) < 1e-2
+    assert abs(reference[nearest] - t_partner) < 1e-4
     assert trace_steepest(sp, 3, Direction.LEFT).points[:nearest + 2] == reference[:nearest + 2]
 
 
