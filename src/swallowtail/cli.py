@@ -274,10 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--saddle", type=int, choices=range(4), required=True)
     p_trace.add_argument("--direction", choices=["left", "right"], required=True)
     p_trace.add_argument("--step", type=float, default=trace_defaults["step"],
-                         help="step near the saddles; between them it grows to a "
-                              "15th of the distance to the nearest other saddle, except "
-                              "on a branch that may still meet a conjugate saddle, and "
-                              "beyond 1.5x the largest saddle modulus to |t|/10")
+                         help="step near the saddles, at least 1e-7; elsewhere it grows "
+                              "to a 15th of the distance to the nearest other saddle "
+                              "unless the branch may still meet a conjugate saddle")
     p_trace.add_argument("--cutoff", type=float, default=trace_defaults["cutoff_radius"])
     p_trace.set_defaults(func=cmd_trace)
 

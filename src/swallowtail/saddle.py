@@ -34,6 +34,7 @@ from .params import Form, Params
 VALLEY_ANGLES = tuple(math.pi / 10.0 + 2.0 * math.pi * k / 5.0 for k in range(5))
 
 _PAIR_TOL = 1e-9          # conjugate matching / real-root detection
+_MIN_STEP = 1e-7          # the tracer's step floor and least step option
 
 # The root polish raises the largest root, about |gamma|^(1/3), to the 4th
 # power; below this bound |gamma|^(4/3) stays under a quarter of the float range.
@@ -316,17 +317,19 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     one is an Euler step along the local tangent i*conj(f'). Corrector: 1D
     Newton transverse to the tangent, restoring Re(f - f(t_k)) = 0.
     The step is halved whenever the corrector fails or descent-monotonicity
-    breaks; running out of step length signals a saddle collision, and a
-    trace still inside the cutoff after 40 000 steps raises ``PathStalled``.
-    Inside r_far = 1.5 max|t_j| the step has a cap and doubles back towards
-    it after 5 accepted points. The cap is ``step`` while the branch may
-    still run through the conjugate partner of t_k (see below), and
-    otherwise max(step, d/15), d the distance to the nearest other saddle.
-    From r_far on, where every saddle is at least |t|/3 away and the branch
-    is nearly a ray into its valley, each accepted point sets the step to
-    the least of max(step, |t|/10), twice the step just taken and
+    breaks, down to a floor of 1e-7 that signals a saddle collision. While
+    the branch may still run through the conjugate partner of t_k (see
+    below) the step is ``step``, doubling back towards it after 5 accepted
+    points at a halved step, as in a fixed-step tracer. Elsewhere each
+    accepted point sets it to the least of max(step, d/15), d the distance
+    to the nearest other saddle, twice the step just taken and
     cutoff_radius - |t| + step, so the last point stays within one ``step``
-    of the cutoff radius.
+    of the cutoff radius. No step budget is needed: heights fall strictly,
+    every predictor moves at least 1e-7, at most log2((cutoff_radius +
+    step)/1e-7) halvings separate two accepted points, and almost every line
+    meets the degree-5 level curve Re(f - f(t_k)) = 0 at most 5 times, so by
+    Cauchy-Crofton its length inside the cutoff disk is at most
+    5 pi cutoff_radius.
     The saddles come from the cache of ``saddles`` (keyed on gamma with its
     sign bit and on the sign of z): one root solve per (gamma, sign z).
 
@@ -339,13 +342,13 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     partner, the trace raises ``PathStalled``, which is then the right answer.
     Heights fall from 0 and the partner lies at height 2 Im f(t_k), so only
     a saddle with Im f(t_k) < 0 can meet it, and only while the height is
-    above 2 Im f(t_k): there the step keeps the fixed cap, so which of these
+    above 2 Im f(t_k): there the step stays fixed, so which of these
     connections stall does not depend on the growing step.
     A ``PathStalled`` carries k, the direction and the point where the
     trace stopped.
 
-    Raises ``ValueError`` for k not an integer 0..3, a step or cutoff radius
-    that is not finite and positive, or a cutoff radius inside |t_k|.
+    Raises ``ValueError`` for k not an integer 0..3, a step below 1e-7, a
+    step or cutoff radius that is not finite, or a cutoff radius inside |t_k|.
     """
     if not isinstance(direction, Direction):
         direction = Direction(direction)
@@ -353,6 +356,8 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     for name, value in (("step", step), ("cutoff_radius", cutoff_radius)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if step < _MIN_STEP:
+        raise ValueError(f"step must be at least {_MIN_STEP!r}, got {step!r}")
     sset = saddles(sp)
     t0 = sset.roots[k]
     if cutoff_radius <= abs(t0):
@@ -385,11 +390,9 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     half_gamma = 0.5 * gamma
     sigma = complex(sign_z.value)
     level_tols = (1e-10,) * 12 + (1e-9,)
-    # beyond r_far every saddle is at least |t| - |t|/1.5 = |t|/3 away
-    r_far = 1.5 * max(abs(r) for r in sset.roots)
     # f(conj t) = conj f(t), so the conjugate partner of a complex t_k lies at
     # height 2 Im f0, on this level set: while the branch is above that height
-    # (Im f0 < 0) it may run through the partner and keeps the fixed cap
+    # (Im f0 < 0) it may run through the partner and keeps the fixed step
     h_partner = 2.0 * f0.imag if t0.imag != 0.0 and f0.imag < 0.0 else math.inf
     s1, s2, s3 = (r for j, r in enumerate(sset.roots) if j != k)
 
@@ -397,7 +400,7 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     append = points.append
     t, fp_t, h_prev, dt = t0, None, 0.0, step
     pred = t0 + step * cmath.exp(1j * alpha)
-    steps = good_streak = 0
+    good_streak = 0
     while True:
         # corrector: u back on Re(f - f0) = 0 with height = Re i(f - f0),
         # or height None
@@ -426,7 +429,7 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
                 raise stalled(f"could not leave saddle {k} in direction {direction.value}", t0)
             dt *= 0.5
             good_streak = 0
-            if dt < 1e-7:
+            if dt < _MIN_STEP:
                 raise stalled("corrector kept failing; suspected saddle collision", t)
         else:
             t, fp_t, h_prev = u, fp, height
@@ -435,21 +438,15 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
             r = abs(t)
             if not r < cutoff_radius:
                 break
-            if r >= r_far:
-                dt = min(max(step, r / 10.0), 2.0 * dt, cutoff_radius - r + step)
-            else:
-                # while the partner may lie ahead the fixed cap, else a 15th
-                # of the distance to the nearest other saddle
-                cap = step if height > h_partner else max(
-                    step, min(abs(t - s1), abs(t - s2), abs(t - s3)) / 15.0)
-                if dt > cap:
-                    dt = cap        # back inside r_far, or nearer a saddle
-                elif good_streak >= 5 and dt < cap:
-                    dt = min(cap, 2.0 * dt)
+            # while the partner may lie ahead the fixed step, else a 15th of
+            # the distance to the nearest other saddle
+            if height > h_partner:
+                if good_streak >= 5 and dt < step:
+                    dt = min(step, 2.0 * dt)
                     good_streak = 0
-        steps += 1
-        if steps > 40000:
-            raise stalled("step budget exhausted before reaching the cutoff radius", t)
+            else:
+                d = min(abs(t - s1), abs(t - s2), abs(t - s3))
+                dt = min(max(step, d / 15.0), 2.0 * dt, cutoff_radius - r + step)
         afp = abs(fp_t)
         if afp < 1e-13:
             raise stalled("ran into another saddle while tracing", t)

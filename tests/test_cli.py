@@ -92,8 +92,8 @@ def test_trace_negative_axis_right(capsys):
 
 
 def test_trace_small_step_reaches_the_cutoff(capsys):
-    # between the saddles the step grows from 1e-5, so the branch ends well
-    # inside the 40 000-step budget
+    # between the saddles the step grows from 1e-5, so the branch ends after
+    # fewer than 50 points
     env = run_json(capsys, ["trace", "--y", "0", "--z=-1", "--saddle", "0",
                             "--direction", "right", "--step", "0.00001"])
     assert 8.0 <= math.hypot(*env["results"]["points"][-1]) <= 8.0 + 1e-5
@@ -241,7 +241,7 @@ def test_path_stalled_exit_4(capsys):
     assert code == 4
 
 
-@pytest.mark.parametrize("flag", ["--step=0", "--step=nan", "--step=-0.01",
+@pytest.mark.parametrize("flag", ["--step=0", "--step=nan", "--step=-0.01", "--step=1e-8",
                                   "--cutoff=inf", "--cutoff=0", "--cutoff=nan"])
 def test_trace_bad_controls_exit_2(capsys, flag):
     code, out, err = run_cli(capsys, ["trace", "--y", "0", "--z=-1", "--saddle", "0",
@@ -481,7 +481,7 @@ def test_cold_start_loads_numpy_only_to_compute():
 
 
 def test_closed_stdout_exits_1_without_traceback():
-    # the trace (383 543 bytes: saddle 1 = i has Im f < 0, so its branches
+    # the trace (497 816 bytes: saddle 1 = i has Im f < 0, so its branches
     # keep the fixed step) is far larger than a pipe buffer, so the CLI is
     # still writing when the reader stops after one line, as `| head -1` does
     proc = subprocess.Popen(

@@ -459,13 +459,21 @@ def test_trace_stalls_on_conjugate_saddle_connection():
     assert path.terminal_sector == 1
 
 
-def test_trace_stalls_when_its_step_budget_runs_out():
-    # 40000 steps of 1e-6 cover 0.04, far short of the cutoff radius 2: saddle
-    # 1 = i has Im f = -0.8 < 0, so its branches keep the fixed step
+def test_trace_small_step_reaches_the_cutoff():
+    # saddle 1 = i has Im f = -0.8 < 0, so its branches keep the fixed step
+    # 1e-5 until the partner's height, at |t| ~ 1.67; with no step budget the
+    # branch still reaches the cutoff radius
     sp = ScaledParams(1.0, 0.0, ZSign.NEGATIVE)
-    with pytest.raises(PathStalled, match="step budget exhausted") as info:
-        trace_steepest(sp, 1, Direction.RIGHT, step=1e-6, cutoff_radius=2.0)
-    assert abs(abs(info.value.point - saddles(sp).roots[1]) - 0.04) < 1e-3
+    path = trace_steepest(sp, 1, Direction.RIGHT, step=1e-5)
+    assert 8.0 <= abs(path.points[-1]) <= 8.0 + 1e-5
+
+
+def test_trace_ends_at_a_cutoff_inside_the_saddles():
+    # a cutoff radius of 1.4 lies close to the saddles (|t_j| = 1), where the
+    # growing step must still stop within one step of it
+    sp = ScaledParams(1.0, 0.0, ZSign.NEGATIVE)
+    path = trace_steepest(sp, 0, Direction.RIGHT, cutoff_radius=1.4)
+    assert 1.4 <= abs(path.points[-1]) <= 1.4 + 0.01
 
 
 def test_stall_names_where_the_trace_stopped():
@@ -509,6 +517,7 @@ def test_saddle_index_may_be_a_numpy_integer():
 
 @pytest.mark.parametrize("name,value", [
     ("step", 0.0), ("step", -0.01), ("step", math.nan), ("step", math.inf),
+    ("step", 1e-8),                      # below the halving floor 1e-7
     ("cutoff_radius", 0.0), ("cutoff_radius", math.nan), ("cutoff_radius", math.inf),
     ("cutoff_radius", 0.5),              # inside |t_0| = 1
 ])
@@ -533,10 +542,9 @@ def test_polyline_serialization():
 
 
 def test_trace_step_grows_between_the_saddles():
-    # a fixed step of 0.01 from |t| = 1 to 8 takes 710 points, and 79 when
-    # the step grows to |t|/10 only beyond r_far = 1.5 max|t_j|.  Saddle 0 = 1
-    # is real, so no branch from it can meet a conjugate partner: inside r_far
-    # its step grows to a 15th of the distance to the nearest other saddle
+    # a fixed step of 0.01 from |t| = 1 to 8 takes 710 points.  Saddle 0 = 1
+    # is real, so no branch from it can meet a conjugate partner: its step
+    # grows to a 15th of the distance to the nearest other saddle
     path = trace_steepest(ScaledParams(1.0, 0.0, ZSign.NEGATIVE), 0, Direction.RIGHT)
     assert len(path.points) < 50
     # the left branch of saddle 3 runs past its partner, saddle 0, with the
@@ -664,9 +672,9 @@ def _assert_matches_reference(sp, k, direction, **controls):
     a stall the same message and point.  A branch that can run through the
     conjugate partner of its saddle (a complex t_k with Im f(t_k) < 0; the
     partner lies at height 2 Im f(t_k)) keeps the reference's points bit for
-    bit up to its first point at |t| >= 1.5 max|t_j| or at a height of at
-    most 2 Im f(t_k); on any other branch the step may grow from the first
-    point on, so only the saddle and that point are pinned.  Beyond the
+    bit up to its first point at a height of at most 2 Im f(t_k), at any
+    radius; on any other branch the step may grow from the first point on,
+    so only the saddle and that point are pinned.  Beyond the
     prefix the path follows the same curve into the same valley and ends
     within one step of the cutoff."""
     reference = _reference_outcome(sp, k, direction, **controls)
@@ -681,10 +689,8 @@ def _assert_matches_reference(sp, k, direction, **controls):
     roots = saddles(sp).roots
     f0 = phase(roots[k], sp.gamma, sp.sign_z)
     if roots[k].imag != 0.0 and f0.imag < 0.0:
-        r_far = 1.5 * max(abs(t) for t in roots)
         n = next((i + 1 for i, t in enumerate(reference.points)
-                  if abs(t) >= r_far
-                  or -(phase(t, sp.gamma, sp.sign_z) - f0).imag <= 2.0 * f0.imag),
+                  if -(phase(t, sp.gamma, sp.sign_z) - f0).imag <= 2.0 * f0.imag),
                  len(reference.points))
     else:
         n = 2
@@ -711,8 +717,9 @@ def test_trace_is_bit_identical_to_reference():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
-    # defaults in 8 of 10 draws: a step of 0.001 makes a path 10x longer
-    controls = ({},) * 8 + ({"step": 0.001}, {"cutoff_radius": 12.0})
+    # defaults in 8 of 11 draws: a step of 0.001 makes a path 10x longer; a
+    # cutoff radius of 2 lies close to the saddles (|t_j| < 1.5 here)
+    controls = ({},) * 8 + ({"step": 0.001}, {"cutoff_radius": 12.0}, {"cutoff_radius": 2.0})
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(st.floats(1.0, 200.0), st.floats(-2.5, 2.5), st.sampled_from(ZSign),
