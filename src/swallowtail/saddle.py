@@ -33,7 +33,6 @@ from .params import Form, Params
 # Angular centres of the sectors where exp(i t^5/5) decays at infinity.
 VALLEY_ANGLES = tuple(math.pi / 10.0 + 2.0 * math.pi * k / 5.0 for k in range(5))
 
-_PAIR_TOL = 1e-9          # conjugate matching / real-root detection
 _MIN_STEP = 1e-7          # the tracer's step floor and least step option
 
 # The root polish raises the largest root, about |gamma|^(1/3), to the 4th
@@ -80,18 +79,19 @@ class ScaledParams:
 class SaddleSet:
     """The four saddle points with regime label and pair structure.
 
-    Root indexing is anchored to the gamma = 0 configuration:
+    Labels come straight from the quartic's two Ferrari factors and are
+    anchored to the gamma = 0 configuration:
 
     * z > 0, two conjugate pairs: k = 0..3 are (p + i q1, -p + i q2,
-      -p - i q2, p - i q1), which at gamma = 0 reduces to i^k e^{i pi/4}.
+      -p - i q2, p - i q1) with p > 0, at gamma = 0 i^k e^{i pi/4}.
     * z < 0: k = 0 the larger real root, k = 1 the upper complex root,
       k = 2 the smaller real root, k = 3 the lower complex root; at
       gamma = 0 this is i^k.
     * z > 0 beyond the caustic: k = 0/3 the upper/lower complex roots,
       k = 1/2 the larger/smaller real roots.
+    * degenerate, within some 40 ulps of the caustic: sorted by argument.
 
-    p, q1, q2 describe the two-conjugate-pair structure (q1 attached to the
-    pair with positive real part) and are NaN in the other regimes.
+    p, q1, q2 are NaN outside the two-conjugate-pair regime.
     """
 
     roots: tuple
@@ -205,22 +205,6 @@ def _quadratic_roots(p: float, q: float):
     return [complex(r), complex(q / r)]
 
 
-def _quartic_roots(gamma: float, sigma: int):
-    """The four roots of t^4 + gamma t + sigma, by Ferrari's factorisation
-    (t^2 + a t + b)(t^2 - a t + c) with b + c = a^2, c - b = gamma/a and
-    b c = sigma (DLMF 1.11(iii)), each simple root then given two Newton steps."""
-    a, w = _resolvent(abs(gamma), sigma)
-    # the larger of b and c from their sum, the other from b c = sigma:
-    # their difference would cancel to 0 for the small root at huge |gamma|
-    big = 0.5 * (a * a + w)
-    b, c = (sigma / big, big) if gamma > 0.0 else (big, sigma / big)
-    roots = _quadratic_roots(a, b) + _quadratic_roots(-a, c)
-    # a double root stays as its factor gives it: f'' vanishes there too, so a
-    # Newton step would be rounding noise divided by rounding noise
-    return [t if roots.count(t) > 1 else _newton(_newton(t, gamma, sigma), gamma, sigma)
-            for t in roots]
-
-
 def _newton(t: complex, gamma: float, sigma: int) -> complex:
     """One Newton step on t^4 + gamma t + sigma, or t where f'' nearly vanishes."""
     fpp = 4.0 * t ** 3 + gamma
@@ -246,26 +230,31 @@ def saddles(sp: ScaledParams) -> SaddleSet:
 
 @functools.lru_cache(maxsize=16)
 def _solve_saddles(gamma: float, gamma_sign: float, sign_z: ZSign) -> SaddleSet:
-    raw = _quartic_roots(gamma, sign_z.value)
-    is_real = [abs(r.imag) <= _PAIR_TOL * max(1.0, abs(r)) for r in raw]
-    reals = [complex(x) for x in sorted((r.real for r, real in zip(raw, is_real) if real),
-                                        reverse=True)]
-    cpx = [r for r, real in zip(raw, is_real) if not real]
-    upper = sorted((r for r in cpx if r.imag > 0), key=lambda r: -r.real)
-    lower = sorted((r for r in cpx if r.imag < 0), key=lambda r: -r.real)
-    if ((len(reals), len(upper), len(lower)) not in ((0, 2, 2), (2, 1, 1))
-            or any(abs(u - d.conjugate()) > _PAIR_TOL * max(1.0, abs(u))
-                   for u, d in zip(upper, lower))):
-        return _degenerate_set(raw)
-    if not reals:
-        right, left = upper
-        if abs(right.real - left.real) <= _PAIR_TOL:
-            return _degenerate_set(raw)   # pairs collapsing onto one vertical line
+    """Ferrari's factors t^4 + gamma t + sigma = (t^2 - s t + big)(t^2 + s t + sigma/big),
+    s = a for gamma > 0, -a otherwise (DLMF 1.11(iii)): the first always has a conjugate pair,
+    the second another (two pairs), two distinct reals (a real pair) or a double root (degenerate).
+    """
+    sigma = sign_z.value
+    a, w = _resolvent(abs(gamma), sigma)
+    # the larger constant from their sum a^2, the other from their product
+    # sigma: the difference would cancel to 0 for the small root at huge |gamma|
+    big = 0.5 * (a * a + w)
+    s = a if gamma > 0.0 else -a
+
+    def polish(t):
+        return _newton(_newton(t, gamma, sigma), gamma, sigma)
+
+    up, dn = (polish(t) for t in _quadratic_roots(-s, big))    # discriminant -a^2 - 2w
+    t1, t2 = _quadratic_roots(s, sigma / big)
+    if t1 == t2:
+        # the double root stays as its factor gives it: f'' vanishes there too,
+        # so a Newton step would be rounding noise divided by rounding noise
+        return _degenerate_set((t1, t2, up, dn))
+    if t1.imag:                 # a second conjugate pair
+        right, left = (up, polish(t1)) if up.real > 0.0 else (polish(t1), up)
         roots = (right, left, left.conjugate(), right.conjugate())
         return SaddleSet(roots, Regime.TWO_CONJUGATE_PAIRS, right.real, right.imag, left.imag)
-    (r_hi, r_lo), (up,), (dn,) = reals, upper, lower
-    if abs(r_hi - r_lo) <= 1e-6 * max(1.0, abs(r_hi)):
-        return _degenerate_set(raw)       # collided real pair: on the caustic
+    r_lo, r_hi = (complex(r) for r in sorted((polish(t1).real, polish(t2).real)))
     roots = (r_hi, up, r_lo, dn) if sign_z is ZSign.NEGATIVE else (up, r_hi, r_lo, dn)
     nan = float("nan")
     return SaddleSet(roots, Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR, nan, nan, nan)
@@ -348,7 +337,8 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     trace stopped.
 
     Raises ``ValueError`` for k not an integer 0..3, a step below 1e-7, a
-    step or cutoff radius that is not finite, or a cutoff radius inside |t_k|.
+    step or cutoff radius that is not finite, a cutoff radius inside |t_k|,
+    or one whose fifth power overflows a float (beyond 4.47e61).
     """
     if not isinstance(direction, Direction):
         direction = Direction(direction)
@@ -358,6 +348,11 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if step < _MIN_STEP:
         raise ValueError(f"step must be at least {_MIN_STEP!r}, got {step!r}")
+    try:
+        cutoff_radius ** 5        # the phase at the cutoff radius
+    except OverflowError:
+        raise ValueError(f"cutoff_radius {cutoff_radius!r} is so large that the phase "
+                         "there, its fifth power, overflows a float") from None
     sset = saddles(sp)
     t0 = sset.roots[k]
     if cutoff_radius <= abs(t0):

@@ -242,7 +242,8 @@ def test_path_stalled_exit_4(capsys):
 
 
 @pytest.mark.parametrize("flag", ["--step=0", "--step=nan", "--step=-0.01", "--step=1e-8",
-                                  "--cutoff=inf", "--cutoff=0", "--cutoff=nan"])
+                                  "--cutoff=inf", "--cutoff=0", "--cutoff=nan",
+                                  "--cutoff=1e100"])
 def test_trace_bad_controls_exit_2(capsys, flag):
     code, out, err = run_cli(capsys, ["trace", "--y", "0", "--z=-1", "--saddle", "0",
                                       "--direction", "right", flag])

@@ -22,7 +22,6 @@ from swallowtail import (
     trace_steepest,
 )
 from swallowtail.saddle import (
-    _PAIR_TOL,
     VALLEY_ANGLES,
     SaddleSet,
     SteepestPath,
@@ -35,6 +34,7 @@ from swallowtail.saddle import (
 )
 
 GAMMA_CAUSTIC = 4.0 * 3.0 ** -0.75
+_ULP = math.ulp(GAMMA_CAUSTIC)
 
 
 def _angdist(a, b):
@@ -156,12 +156,16 @@ def test_classification_examples():
     (-1e-10, Regime.TWO_CONJUGATE_PAIRS),
     (-1e-12, Regime.TWO_CONJUGATE_PAIRS),
     (0.0, Regime.DEGENERATE),
-    (1e-12, Regime.DEGENERATE),
+    (1e-12, Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR),
     (1e-10, Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR),
+    pytest.param(-100 * _ULP, Regime.TWO_CONJUGATE_PAIRS, id="-100ulp-two_conjugate_pairs"),
+    pytest.param(-30 * _ULP, Regime.DEGENERATE, id="-30ulp-degenerate"),
+    pytest.param(30 * _ULP, Regime.DEGENERATE, id="30ulp-degenerate"),
+    pytest.param(100 * _ULP, Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR, id="100ulp-real_pair"),
 ])
 def test_regime_next_to_the_caustic(offset, regime):
-    # z > 0: the band saddles() calls degenerate is one-sided, from the
-    # caustic up to some 5000 ulps (1.1e-12) above it
+    # z > 0: the band saddles() calls degenerate is the double root of one
+    # Ferrari factor, some 40 ulps (9e-15) to either side of the caustic
     assert saddles(ScaledParams(1.0, caustic_gamma() + offset, ZSign.POSITIVE)).regime is regime
 
 
@@ -185,6 +189,9 @@ def _polish(roots, gamma: float, sigma: float):
         mask = np.abs(fpp) > 1e-30
         roots = np.where(mask, roots - fp / np.where(mask, fpp, 1.0), roots)
     return roots
+
+
+_PAIR_TOL = 1e-9          # conjugate matching / real-root detection
 
 
 def _reference_saddles(sp):
@@ -285,7 +292,13 @@ def test_saddles_match_reference_and_mpmath():
         for sign in ZSign:
             sp = ScaledParams(1.0, float(gamma), sign)
             got = saddles(sp)
-            degenerate += got.regime is Regime.DEGENERATE
+            if got.regime is Regime.DEGENERATE:
+                # the band is centred on the caustic, not one-sided
+                assert abs(abs(sp.gamma) - c) <= 64 * math.ulp(c), sp
+                degenerate += 1
+            elif got.regime is Regime.REAL_PAIR_PLUS_CONJUGATE_PAIR:
+                up, dn = (t for t in got.roots if t.imag != 0.0)
+                assert up == dn.conjugate(), sp
             if sign is ZSign.POSITIVE and abs(abs(sp.gamma) - c) < 1e-6:
                 continue
             ref = _reference_saddles(sp)
@@ -295,7 +308,7 @@ def test_saddles_match_reference_and_mpmath():
             if mp_check:
                 mp = _mp_roots(sp.gamma, sign.value)
                 assert max(_ulps_from_mp(t, mp) for t in got.roots) <= 8.0, sp
-    assert degenerate >= 500
+    assert degenerate >= 150
 
 
 def test_caustic_labels_change_at_most_twice():
@@ -520,6 +533,7 @@ def test_saddle_index_may_be_a_numpy_integer():
     ("step", 1e-8),                      # below the halving floor 1e-7
     ("cutoff_radius", 0.0), ("cutoff_radius", math.nan), ("cutoff_radius", math.inf),
     ("cutoff_radius", 0.5),              # inside |t_0| = 1
+    ("cutoff_radius", 1e100),            # its fifth power overflows a float
 ])
 def test_trace_rejects_bad_controls(name, value):
     with pytest.raises(ValueError, match=name):
