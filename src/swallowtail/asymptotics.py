@@ -85,11 +85,11 @@ class ObstructionReport:
     cancellation_blocked: bool
 
 
-def leading_q00(z: float, *, keep_subdominant: bool = False) -> float:
+def leading_q00(z: float) -> float:
     """Leading-order approximation of Q(0, 0, z) for large |z|.
 
-    ``keep_subdominant`` retains the exponentially small real-saddle term of
-    the z < 0 branch (useful for error studies); by default it is dropped.
+    For z < 0 it drops the exponentially small term of the complex saddle
+    -i, which ``leading_from_contributions`` keeps.
     """
     if z == 0.0:
         raise DomainError("leading-order form is undefined at z = 0")
@@ -100,8 +100,6 @@ def leading_q00(z: float, *, keep_subdominant: bool = False) -> float:
         return (az ** 0.25 * math.sqrt(2.0 * math.pi / lam)
                 * math.exp(-rate) * math.cos(rate - math.pi / 8.0))
     value = math.sqrt(2.0 * math.pi / lam) * math.cos(0.8 * lam - math.pi / 4.0)
-    if keep_subdominant:
-        value += math.sqrt(0.5 * math.pi / lam) * math.exp(-0.8 * lam)
     return az ** 0.25 * value
 
 

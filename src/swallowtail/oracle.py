@@ -121,9 +121,9 @@ _PANEL_BLOCK = 256
 # estimate arrays with points times ks, and its set-up cost stays small
 # against the quadrature.
 _POINT_PASS = 512
-# Points from which a pass finds its truncation radii with numpy: on two
-# shared cores the array form costs about 120 us for 1 to 64 points, the
-# scalar form about 15 us per point.
+# Points from which a pass finds its truncation radii with numpy: on two shared
+# cores the array form costs 70-100 us for 1 to 64 points, the scalar form about
+# 6 us per point (they cross near 13); the benchmarks' passes hold 1, 16 or 20.
 _RADIUS_BATCH = 8
 # A scan line's y jet (``_y_jets``): at most this many terms, and the share of
 # the tolerance its truncation may take

@@ -134,15 +134,16 @@ class RefineConfig:
     the whole function is exponentially small.
 
     Accepted ranges (``ValueError`` otherwise): ``residual_tol`` finite and
-    > 0, ``max_iterations`` an integer >= 1, ``max_abs_z`` > 0 (inf allowed,
-    NaN not), ``residual_mode`` "abs" or "rel".
+    > 0, ``max_abs_z`` > 0 (inf allowed, NaN not), ``residual_mode`` "abs"
+    or "rel".
 
-    ``max_backtracks`` is fixed: a Newton step is halved at most that many
-    times before it is taken as it stands.
+    ``max_iterations`` and ``max_backtracks`` are fixed: a run takes at most
+    that many Newton steps, and a step is halved at most that many times
+    before it is taken as it stands.
     """
 
     residual_tol: float = 1e-9
-    max_iterations: int = 25
+    max_iterations: ClassVar[int] = 25
     max_backtracks: ClassVar[int] = 6
     max_abs_z: float = 12.0
     residual_mode: str = "abs"
@@ -156,7 +157,6 @@ class RefineConfig:
             raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol!r}")
         if not self.max_abs_z > 0.0:
             raise ValueError(f"max_abs_z must be positive, got {self.max_abs_z!r}")
-        _check_count("max_iterations", self.max_iterations, 1)
 
 
 def _check_count(name: str, value, least: int) -> None:

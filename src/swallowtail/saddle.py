@@ -221,15 +221,13 @@ def saddles(sp: ScaledParams) -> SaddleSet:
     """Solve f'(t) = 0, classify the configuration and label the roots.
 
     lambda plays no part in the roots, so one solve serves every caller with
-    the same gamma and sign of z: the last 16 sets are cached.  The key
-    carries gamma's sign bit, because -0.0 == 0.0 and both hash alike while
-    their roots may differ in the signs of zero parts.
+    the same gamma and sign of z: the last 16 sets are cached.
     """
-    return _solve_saddles(sp.gamma, math.copysign(1.0, sp.gamma), sp.sign_z)
+    return _solve_saddles(sp.gamma, sp.sign_z)
 
 
 @functools.lru_cache(maxsize=16)
-def _solve_saddles(gamma: float, gamma_sign: float, sign_z: ZSign) -> SaddleSet:
+def _solve_saddles(gamma: float, sign_z: ZSign) -> SaddleSet:
     """Ferrari's factors t^4 + gamma t + sigma = (t^2 - s t + big)(t^2 + s t + sigma/big),
     s = a for gamma > 0, -a otherwise (DLMF 1.11(iii)): the first always has a conjugate pair,
     the second another (two pairs), two distinct reals (a real pair) or a double root (degenerate).
@@ -319,8 +317,8 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     meets the degree-5 level curve Re(f - f(t_k)) = 0 at most 5 times, so by
     Cauchy-Crofton its length inside the cutoff disk is at most
     5 pi cutoff_radius.
-    The saddles come from the cache of ``saddles`` (keyed on gamma with its
-    sign bit and on the sign of z): one root solve per (gamma, sign z).
+    The saddles come from the cache of ``saddles``: one root solve per
+    (gamma, sign z).
 
     Complex-conjugate saddles share Re f, so a branch leaving one of them can
     run through its partner: for z > 0 the left branch of saddle 3 passes
@@ -415,8 +413,9 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
             if abs(level) <= tol * (af if af > 1.0 else 1.0):
                 height = -df.imag
                 break
+            # beyond 1e154, afp ** 2 overflows: a failed iterate as below 1e-13
             afp = abs(fp)
-            if afp < 1e-13:
+            if not 1e-13 <= afp <= 1e154:
                 break
             u = u - level * fp.conjugate() / afp ** 2
         if height is None or height >= h_prev:

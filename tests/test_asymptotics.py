@@ -78,12 +78,18 @@ def test_leading_accuracy_improves_with_z(cfg):
         assert err10 < err5
 
 
-def test_subdominant_term_flag():
+def _subdominant_q00(z: float) -> float:
+    """The z < 0 term of the complex saddle -i, which ``leading_q00`` drops:
+    f(-i) = 4i/5 and f''(-i) = 4i, so it is |z|^(1/4) sqrt(pi/(2 lam)) e^(-4 lam/5)."""
+    lam = abs(z) ** 1.25
+    return abs(z) ** 0.25 * math.sqrt(0.5 * math.pi / lam) * math.exp(-0.8 * lam)
+
+
+def test_subdominant_term_of_saddle_minus_i():
     z = -3.0
-    lam = 3.0 ** 1.25
-    extra = leading_q00(z, keep_subdominant=True) - leading_q00(z)
-    assert extra == pytest.approx(
-        3.0 ** 0.25 * math.sqrt(0.5 * math.pi / lam) * math.exp(-0.8 * lam), rel=1e-12)
+    sp = ScaledParams(abs(z) ** 1.25, 0.0, ZSign.NEGATIVE)
+    extra = leading_from_contributions(sp).real - leading_q00(z)
+    assert extra == pytest.approx(_subdominant_q00(z), rel=1e-12)
 
 
 # ------------------------------------------------------------ predictions
@@ -194,8 +200,7 @@ def test_contributions_rebuild_cosine_negative():
     for z in (-4.0, -9.0, -16.0):
         sp = ScaledParams(abs(z) ** 1.25, 0.0, ZSign.NEGATIVE)
         total = leading_from_contributions(sp)
-        assert total.real == pytest.approx(
-            leading_q00(z, keep_subdominant=True), rel=1e-10)
+        assert total.real == pytest.approx(leading_q00(z) + _subdominant_q00(z), rel=1e-10)
 
 
 def test_contribution_fields():

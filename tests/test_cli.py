@@ -241,6 +241,16 @@ def test_path_stalled_exit_4(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("step,cutoff", [("1e40", "1e45"), ("1e60", "4e61")])
+def test_huge_step_exits_4_with_one_error_line(capsys, step, cutoff):
+    code, out, err = run_cli(capsys, ["trace", "--y", "0", "--z=-1", "--saddle", "0",
+                                      "--direction", "right", "--step", step,
+                                      "--cutoff", cutoff])
+    assert code == 4 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "could not leave saddle 0 in direction right" in err
+
+
 @pytest.mark.parametrize("flag", ["--step=0", "--step=nan", "--step=-0.01", "--step=1e-8",
                                   "--cutoff=inf", "--cutoff=0", "--cutoff=nan",
                                   "--cutoff=1e100"])

@@ -83,7 +83,7 @@ def test_every_settable_value_is_listed_here():
     assert [f.name for f in dataclasses.fields(params.QuadratureConfig)] == [
         "target_abs_tol", "max_subdivisions"]
     assert [f.name for f in dataclasses.fields(params.RefineConfig)] == [
-        "residual_tol", "max_iterations", "max_abs_z", "residual_mode", "quadrature"]
+        "residual_tol", "max_abs_z", "residual_mode", "quadrature"]
     assert list(inspect.signature(oracle._integrate_points).parameters) == [
         "x", "y", "z", "ks", "cfg"]
     quad = ["--tol", "--max-subdivisions"]

@@ -332,20 +332,18 @@ def test_caustic_labels_change_at_most_twice():
         assert labels == order, mirror
 
 
-def test_saddle_cache_keeps_signed_zeros_apart():
-    # -0.0 and 0.0 are equal keys for a plain float; the cache key carries
-    # gamma's sign bit, so each signed zero gets its own root solve
-    assert -0.0 == 0.0 and hash(-0.0) == hash(0.0)
+def test_signed_zeros_share_one_root_solve():
+    # -0.0 == 0.0 and both hash alike, so they share a cache entry: the
+    # solve gives both the same bits, and the second costs no solve
     for sign in ZSign:
         for gammas in ((-0.0, 0.0), (0.0, -0.0)):
-            for clear in (True, False):
-                if clear:
-                    saddle_mod._solve_saddles.cache_clear()
-                for gamma in gammas:
-                    fresh = saddle_mod._solve_saddles.__wrapped__(
-                        gamma, math.copysign(1.0, gamma), sign)
-                    assert _saddle_bits(saddles(ScaledParams(1.0, gamma, sign))) == \
-                        _saddle_bits(fresh), (gamma, sign)
+            fresh = [_saddle_bits(saddle_mod._solve_saddles.__wrapped__(gamma, sign))
+                     for gamma in gammas]
+            assert fresh[0] == fresh[1], sign
+            saddle_mod._solve_saddles.cache_clear()
+            for gamma in gammas:
+                assert _saddle_bits(saddles(ScaledParams(1.0, gamma, sign))) == fresh[0]
+            assert saddle_mod._solve_saddles.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("lam,gamma,sign", [
@@ -487,6 +485,17 @@ def test_trace_ends_at_a_cutoff_inside_the_saddles():
     sp = ScaledParams(1.0, 0.0, ZSign.NEGATIVE)
     path = trace_steepest(sp, 0, Direction.RIGHT, cutoff_radius=1.4)
     assert 1.4 <= abs(path.points[-1]) <= 1.4 + 0.01
+
+
+@pytest.mark.parametrize("step,cutoff", [(1e30, 1e37), (1e40, 1e45), (1e60, 4e61)])
+def test_huge_step_stalls_at_the_saddle(step, cutoff):
+    # the corrector cannot bring the first step back to the level curve; for
+    # the last two |f'| ~ |t|^4 >= 1e160, whose square overflows a float, so
+    # the iterate fails as one with |f'| < 1e-13 does
+    sp = ScaledParams(1.0, 0.0, ZSign.NEGATIVE)
+    with pytest.raises(PathStalled, match="could not leave saddle 0 in direction right") as info:
+        trace_steepest(sp, 0, Direction.RIGHT, step=step, cutoff_radius=cutoff)
+    assert info.value.point == saddles(sp).roots[0]
 
 
 def test_stall_names_where_the_trace_stopped():

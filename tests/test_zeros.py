@@ -129,13 +129,9 @@ def test_refine_config_validation():
         RefineConfig(residual_mode="bogus")
     for bad in ({"residual_tol": math.nan}, {"residual_tol": math.inf},
                 {"residual_tol": 0.0}, {"residual_tol": -1.0},
-                {"max_abs_z": math.nan}, {"max_abs_z": 0.0}, {"max_abs_z": -12.0},
-                {"max_iterations": 0}, {"max_iterations": math.nan},
-                {"max_iterations": math.inf}, {"max_iterations": 2.5},
-                {"max_iterations": True}):
+                {"max_abs_z": math.nan}, {"max_abs_z": 0.0}, {"max_abs_z": -12.0}):
         with pytest.raises(ValueError):
             RefineConfig(**bad)
-    assert RefineConfig(max_iterations=np.int64(1)).max_iterations == 1
 
 
 # ------------------------------------------------------- axis confinement
@@ -195,9 +191,10 @@ def test_confinement_runs_the_outermost_seeds_inside_the_box(branch, m):
     assert abs(rec.seed_z) <= 14.0 and rec.iterations > 0
 
 
-def test_confinement_record_shape_on_divergence():
+def test_confinement_record_shape_on_divergence(monkeypatch):
     # a far-off seed with a tiny iteration budget ends as data, not an error
-    cfg = RefineConfig(max_iterations=1)
+    monkeypatch.setattr(RefineConfig, "max_iterations", 1)
+    cfg = RefineConfig()
     rec = axis_confinement_scan(3.0, Branch.POSITIVE_Z, 1, cfg)
     assert isinstance(rec.converged, bool)
     assert rec.seed_y == 3.0
@@ -767,14 +764,15 @@ def test_newton_loops_match_reference(monkeypatch):
             seed = predicted_zeros(branch, m)[m]
             for mode, max_abs_z in (("abs", 12.0), ("rel", 30.0)):
                 for max_iterations in (1, 3, 25):
-                    cfg = RefineConfig(residual_mode=mode, max_abs_z=max_abs_z,
-                                       max_iterations=max_iterations)
+                    monkeypatch.setattr(RefineConfig, "max_iterations", max_iterations)
+                    cfg = RefineConfig(residual_mode=mode, max_abs_z=max_abs_z)
                     assert (_outcome(calls, refine_on_axis, seed, cfg)
                             == _outcome(calls, _reference_refine, seed, cfg))
         for m in range(4):
             for y0 in (0.0, 0.05, 0.3, 0.7, 1.5, 3.0, 5.0, 8.0):
                 for max_iterations in (1, 4, 25):
-                    cfg = RefineConfig(max_iterations=max_iterations)
+                    monkeypatch.setattr(RefineConfig, "max_iterations", max_iterations)
+                    cfg = RefineConfig()
                     got = _outcome(calls, axis_confinement_scan, y0, branch, m, cfg)
                     want = _outcome(calls, _float_coordinates, y0, branch, m, cfg)
                     if want[0][0] is ToleranceNotReached:
