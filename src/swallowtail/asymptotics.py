@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, RegimeError
-from .params import Form
+from .params import Form, _check_count
 from .saddle import (
     Regime,
     SaddleSet,
@@ -125,11 +125,10 @@ def predicted_zero(branch: Branch, m: int, form: Form = Form.Q) -> ZeroPredictio
     Predictions are native to the Q normalization; the S values follow from
     the coordinate map z_S = 5^(1/5) z_Q, which sends the z-axis to itself.
 
-    Raises ``ValueError`` for m < 0, and for m from about 2.86e307 on, where
-    (2m + 1) pi overflows a float.
+    Raises ``ValueError`` for m not an integer >= 0 (a bool is refused), and
+    for m from about 2.86e307 on, where (2m + 1) pi overflows a float.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _check_count("m", m, 0)
     try:
         odd = float(2 * m + 1)    # the same float that int * float converts to
     except OverflowError:
@@ -149,8 +148,7 @@ def predicted_zero(branch: Branch, m: int, form: Form = Form.Q) -> ZeroPredictio
 
 def predicted_zeros(branch: Branch, m_max: int, form: Form = Form.Q) -> list[ZeroPrediction]:
     """``predicted_zero`` for m = 0..m_max."""
-    if m_max < 0:
-        raise ValueError("m_max must be nonnegative")
+    _check_count("m_max", m_max, 0)
     return [predicted_zero(branch, m, form) for m in range(m_max + 1)]
 
 

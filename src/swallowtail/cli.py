@@ -275,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--direction", choices=["left", "right"], required=True)
     p_trace.add_argument("--step", type=float, default=trace_defaults["step"],
                          help="step near the saddles, at least 1e-7; elsewhere it grows "
-                              "to a 15th of the distance to the nearest other saddle "
-                              "unless the branch may still meet a conjugate saddle")
+                              "to a 15th of the distance to the nearest other saddle")
     p_trace.add_argument("--cutoff", type=float, default=trace_defaults["cutoff_radius"])
     p_trace.set_defaults(func=cmd_trace)
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ToleranceNotReached
-from .params import Form, Params, QuadratureConfig, s_to_q
+from .params import Form, Params, QuadratureConfig, _check_count, s_to_q
 from .saddle import VALLEY_ANGLES
 
 DEFAULT_RAY_ANGLES = (VALLEY_ANGLES[2], VALLEY_ANGLES[0])
@@ -568,9 +568,11 @@ def eval_q_moment(p: Params, k: int, cfg: QuadratureConfig | None = None) -> Eva
     """Evaluate the k-th moment: integral of t^k times the Q integrand.
 
     Differentiating under the integral sign gives the parameter derivatives
-    listed in the module docstring; k is restricted to 1, 2, 3 accordingly.
+    listed in the module docstring; k is restricted to 1, 2, 3 accordingly
+    (an integer, not a bool).
     """
-    if k not in (1, 2, 3):
+    _check_count("moment order k", k, 1)
+    if k > 3:
         raise ValueError("moment order k must be 1, 2 or 3")
     if p.form is not Form.Q:
         raise ValueError("eval_q_moment expects form=Q parameters")

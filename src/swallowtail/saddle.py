@@ -304,10 +304,7 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     one is an Euler step along the local tangent i*conj(f'). Corrector: 1D
     Newton transverse to the tangent, restoring Re(f - f(t_k)) = 0.
     The step is halved whenever the corrector fails or descent-monotonicity
-    breaks, down to a floor of 1e-7 that signals a saddle collision. While
-    the branch may still run through the conjugate partner of t_k (see
-    below) the step is ``step``, doubling back towards it after 5 accepted
-    points at a halved step, as in a fixed-step tracer. Elsewhere each
+    breaks, down to a floor of 1e-7 that signals a saddle collision. Each
     accepted point sets it to the least of max(step, d/15), d the distance
     to the nearest other saddle, twice the step just taken and
     cutoff_radius - |t| + step, so the last point stays within one ``step``
@@ -320,17 +317,16 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     The saddles come from the cache of ``saddles``: one root solve per
     (gamma, sign z).
 
-    Complex-conjugate saddles share Re f, so a branch leaving one of them can
-    run through its partner: for z > 0 the left branch of saddle 3 passes
-    through saddle 0 and, below the caustic, the right branch of saddle 2
-    through saddle 1; for z < 0 at small gamma the right branch of saddle 1
-    passes through saddle 3.  Usually a step jumps past the partner and the
-    trace ends in one of the partner's valleys; when a step lands on the
-    partner, the trace raises ``PathStalled``, which is then the right answer.
-    Heights fall from 0 and the partner lies at height 2 Im f(t_k), so only
-    a saddle with Im f(t_k) < 0 can meet it, and only while the height is
-    above 2 Im f(t_k): there the step stays fixed, so which of these
-    connections stall does not depend on the growing step.
+    Complex-conjugate saddles are stored as exact conjugates, and
+    f(conj t) = conj f(t), so they share Re f bit for bit: a branch leaving
+    t_k can run through its partner t_j (a Stokes connection).  Heights
+    fall from 0 and t_j lies at height 2 Im f(t_k), so only a saddle with
+    Im f(t_k) < 0 can meet it.  A branch that comes within one step of t_j
+    while its height is above 2 Im f(t_k) goes on through it by rule: its
+    points so far are followed by those of ``trace_steepest(sp, j,
+    direction)`` with the same step and cutoff radius, which ends in one of
+    the partner's valleys.  The partner has Im f(t_j) > 0, so it meets no
+    partner in turn.
     A ``PathStalled`` carries k, the direction and the point where the
     trace stopped.
 
@@ -383,9 +379,9 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     half_gamma = 0.5 * gamma
     sigma = complex(sign_z.value)
     level_tols = (1e-10,) * 12 + (1e-9,)
-    # f(conj t) = conj f(t), so the conjugate partner of a complex t_k lies at
-    # height 2 Im f0, on this level set: while the branch is above that height
-    # (Im f0 < 0) it may run through the partner and keeps the fixed step
+    # the conjugate partner of a complex t_k lies on this level set at height
+    # 2 Im f0, below the saddle when Im f0 < 0
+    t_partner = t0.conjugate()
     h_partner = 2.0 * f0.imag if t0.imag != 0.0 and f0.imag < 0.0 else math.inf
     s1, s2, s3 = (r for j, r in enumerate(sset.roots) if j != k)
 
@@ -393,7 +389,6 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     append = points.append
     t, fp_t, h_prev, dt = t0, None, 0.0, step
     pred = t0 + step * cmath.exp(1j * alpha)
-    good_streak = 0
     while True:
         # corrector: u back on Re(f - f0) = 0 with height = Re i(f - f0),
         # or height None
@@ -422,25 +417,20 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
             if len(points) == 1:
                 raise stalled(f"could not leave saddle {k} in direction {direction.value}", t0)
             dt *= 0.5
-            good_streak = 0
             if dt < _MIN_STEP:
                 raise stalled("corrector kept failing; suspected saddle collision", t)
         else:
             t, fp_t, h_prev = u, fp, height
             append(t)
-            good_streak += 1
             r = abs(t)
             if not r < cutoff_radius:
                 break
-            # while the partner may lie ahead the fixed step, else a 15th of
-            # the distance to the nearest other saddle
-            if height > h_partner:
-                if good_streak >= 5 and dt < step:
-                    dt = min(step, 2.0 * dt)
-                    good_streak = 0
-            else:
-                d = min(abs(t - s1), abs(t - s2), abs(t - s3))
-                dt = min(max(step, d / 15.0), 2.0 * dt, cutoff_radius - r + step)
+            d = min(abs(t - s1), abs(t - s2), abs(t - s3))
+            dt = min(max(step, d / 15.0), 2.0 * dt, cutoff_radius - r + step)
+            if height > h_partner and abs(t - t_partner) <= dt:
+                tail = trace_steepest(sp, sset.roots.index(t_partner), direction,
+                                      step=step, cutoff_radius=cutoff_radius)
+                return SteepestPath(k, tuple(points) + tail.points, tail.terminal_sector)
         afp = abs(fp_t)
         if afp < 1e-13:
             raise stalled("ran into another saddle while tracing", t)

@@ -132,10 +132,20 @@ def test_spacing_ratio_decreases_to_one():
 def test_negative_m_max_rejected():
     with pytest.raises(ValueError):
         predicted_zeros(Branch.POSITIVE_Z, -1)
-    with pytest.raises(ValueError, match="m must be nonnegative"):
+    with pytest.raises(ValueError, match="m must be at least 0"):
         predicted_zero(Branch.NEGATIVE_Z, -1)
     with pytest.raises(ValueError, match="n_max must be nonnegative"):
         pearcey_hill_zeros(-1)
+
+
+@pytest.mark.parametrize("m", [1.5, 2.0, True, math.nan])
+def test_prediction_index_must_be_an_integer(m):
+    # a float m gave a prediction with m = 1.5 or a TypeError, True was
+    # taken as 1, and NaN read as too large
+    with pytest.raises(ValueError, match="m must be an integer"):
+        predicted_zero(Branch.POSITIVE_Z, m)
+    with pytest.raises(ValueError, match="m_max must be an integer"):
+        predicted_zeros(Branch.POSITIVE_Z, m)
 
 
 def test_oracle_sign_change_brackets_each_predicted_zero(cfg):

@@ -236,7 +236,8 @@ def test_no_convergence_exit_3(capsys):
 
 
 def test_path_stalled_exit_4(capsys):
-    code, _, err = run_cli(capsys, ["trace", "--y", "0", "--z", "-1",
+    # y = 4/3^(3/4) at z = 1 is the caustic, where two saddles coincide
+    code, _, err = run_cli(capsys, ["trace", "--y=1.7547653506033232", "--z=1",
                                     "--saddle", "1", "--direction", "left"])
     assert code == 4
 
@@ -492,12 +493,12 @@ def test_cold_start_loads_numpy_only_to_compute():
 
 
 def test_closed_stdout_exits_1_without_traceback():
-    # the trace (497 816 bytes: saddle 1 = i has Im f < 0, so its branches
-    # keep the fixed step) is far larger than a pipe buffer, so the CLI is
-    # still writing when the reader stops after one line, as `| head -1` does
+    # the 3001 predictions (390 692 bytes) are far larger than a pipe buffer,
+    # so the CLI is still writing when the reader stops after one line, as
+    # `| head -1` does
     proc = subprocess.Popen(
-        [sys.executable, "-m", "swallowtail", "trace", "--y", "0", "--z=-1",
-         "--saddle", "1", "--direction", "right", "--step", "0.0001"],
+        [sys.executable, "-m", "swallowtail", "zeros", "predict", "--branch", "pos",
+         "--m-max", "3000"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=CHILD_ENV)
     try:
         assert proc.stdout.readline().strip() == "{"

@@ -254,6 +254,13 @@ def test_form_mismatch_rejected():
         eval_q_moment(Params(0.0, 0.0, 0.0, Form.S), 1)
 
 
+@pytest.mark.parametrize("k", [1.0, 2.5, True, math.nan])
+def test_moment_order_must_be_an_integer(k):
+    # 1.0 raised a TypeError from the kernel, and True gave moment 1
+    with pytest.raises(ValueError, match="moment order k must be an integer"):
+        eval_q_moment(Params(0.0, 0.0, 1.0), k)
+
+
 def test_no_points_give_four_empty_outputs(cfg):
     values, estimates, panels, ok = _integrate_points(
         np.array([]), np.array([]), np.array([]), (0, 1), cfg)
