@@ -315,7 +315,12 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     Cauchy-Crofton its length inside the cutoff disk is at most
     5 pi cutoff_radius.
     The saddles come from the cache of ``saddles``: one root solve per
-    (gamma, sign z).
+    (gamma, sign z).  lambda plays no part in the path either, so after
+    validation a branch comes from a cache of its own, keyed on (gamma,
+    sign z, k, direction, step, cutoff radius) and holding the last 16
+    branches, the 8 of one (gamma, sign z) twice over: every caller with
+    that key gets the same ``SteepestPath`` object.  A ``PathStalled`` is
+    not cached, and is raised again on every call.
 
     Complex-conjugate saddles are stored as exact conjugates, and
     f(conj t) = conj f(t), so they share Re f bit for bit: a branch leaving
@@ -323,10 +328,10 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     fall from 0 and t_j lies at height 2 Im f(t_k), so only a saddle with
     Im f(t_k) < 0 can meet it.  A branch that comes within one step of t_j
     while its height is above 2 Im f(t_k) goes on through it by rule: its
-    points so far are followed by those of ``trace_steepest(sp, j,
-    direction)`` with the same step and cutoff radius, which ends in one of
-    the partner's valleys.  The partner has Im f(t_j) > 0, so it meets no
-    partner in turn.
+    points so far are followed by those of the partner's own branch in
+    the same direction, with the same step and cutoff radius, taken from
+    the branch cache, which ends in one of the partner's valleys.  The
+    partner has Im f(t_j) > 0, so it meets no partner in turn.
     A ``PathStalled`` carries k, the direction and the point where the
     trace stopped.
 
@@ -347,18 +352,25 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     except OverflowError:
         raise ValueError(f"cutoff_radius {cutoff_radius!r} is so large that the phase "
                          "there, its fifth power, overflows a float") from None
-    sset = saddles(sp)
-    t0 = sset.roots[k]
+    t0 = saddles(sp).roots[k]
     if cutoff_radius <= abs(t0):
         raise ValueError(f"cutoff_radius {cutoff_radius!r} does not exceed "
                          f"|t_{k}| = {abs(t0)!r}")
+    return _trace_branch(sp.gamma, sp.sign_z, k, direction, step, cutoff_radius)
+
+
+@functools.lru_cache(maxsize=16)
+def _trace_branch(gamma: float, sign_z: ZSign, k: int, direction: Direction,
+                  step: float, cutoff_radius: float) -> SteepestPath:
+    """The branch of ``trace_steepest`` for validated controls."""
+    sset = _solve_saddles(gamma, sign_z)
+    t0 = sset.roots[k]
 
     def stalled(message, point=None):
         return PathStalled(message, saddle_index=k, direction=direction, point=point)
 
     if sset.regime is Regime.DEGENERATE:
         raise stalled("saddle set is degenerate; no isolated branch to trace")
-    gamma, sign_z = sp.gamma, sp.sign_z
     f0 = phase(t0, gamma, sign_z)
     fpp = phase_second_derivative(t0, gamma)
     if abs(fpp) < 1e-12:
@@ -425,11 +437,23 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
             r = abs(t)
             if not r < cutoff_radius:
                 break
-            d = min(abs(t - s1), abs(t - s2), abs(t - s3))
-            dt = min(max(step, d / 15.0), 2.0 * dt, cutoff_radius - r + step)
+            # min(max(step, d / 15), 2 dt, cutoff_radius - r + step), d the
+            # least distance to s1, s2, s3, by the comparisons of the builtins
+            d, d_next = abs(t - s1), abs(t - s2)
+            if d_next < d:
+                d = d_next
+            d_next = abs(t - s3)
+            if d_next < d:
+                d = d_next
+            grown, doubled, last = d / 15.0, 2.0 * dt, cutoff_radius - r + step
+            dt = grown if grown > step else step
+            if doubled < dt:
+                dt = doubled
+            if last < dt:
+                dt = last
             if height > h_partner and abs(t - t_partner) <= dt:
-                tail = trace_steepest(sp, sset.roots.index(t_partner), direction,
-                                      step=step, cutoff_radius=cutoff_radius)
+                tail = _trace_branch(gamma, sign_z, sset.roots.index(t_partner), direction,
+                                     step, cutoff_radius)
                 return SteepestPath(k, tuple(points) + tail.points, tail.terminal_sector)
         afp = abs(fp_t)
         if afp < 1e-13:

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -609,6 +610,118 @@ def test_trace_step_grows_between_the_saddles():
     sp = ScaledParams(1.0, 0.25, ZSign.POSITIVE)
     path = _assert_spliced(sp, 3, 0, 1)
     assert len(path.points) < len(_reference_trace(sp, 3, Direction.LEFT).points) / 2
+
+
+def _branch_bits(sp, **controls):
+    """repr of every branch of sp, keyed by (k, direction): its index, points
+    and sector, or a stall's message, index, direction and point."""
+    bits = {}
+    for k in range(4):
+        for direction in Direction:
+            try:
+                path = trace_steepest(sp, k, direction, **controls)
+                bits[k, direction] = repr((path.saddle_index, path.points, path.terminal_sector))
+            except PathStalled as exc:
+                bits[k, direction] = repr((str(exc), exc.saddle_index, exc.direction.value,
+                                           exc.point))
+    return bits
+
+
+def test_trace_bits_are_pinned():
+    # SHA-256 of the branch bits, in order, at these (gamma, sign z): a branch
+    # spliced through saddle 1 -> 3 (gamma = 0, z < 0) and 3 -> 0 (0.25, z > 0),
+    # the stall of saddle 1 right next to saddle 0 (3.0097..., z > 0), and each
+    # regime off the axis.  Recorded before the branch cache; any change to a
+    # bit of the tracer shows here, or a libm whose exp, cos or atan2 round
+    # otherwise
+    pairs = ((0.0, ZSign.NEGATIVE), (0.25, ZSign.POSITIVE), (3.0097119577698, ZSign.POSITIVE),
+             (-0.7, ZSign.POSITIVE), (1.2, ZSign.NEGATIVE), (2.0, ZSign.POSITIVE))
+    saddle_mod._trace_branch.cache_clear()
+    digest = hashlib.sha256()
+    for gamma, sign in pairs:
+        for bits in _branch_bits(ScaledParams(1.0, gamma, sign)).values():
+            digest.update(bits.encode())
+    assert digest.hexdigest() == (
+        "52ae25ce688cde73e6fbb531d17a7c30b2412e0aca65aa9af137a8356340eada")
+
+
+@pytest.mark.parametrize("gamma,sign", [
+    (0.7, ZSign.NEGATIVE),                       # real pair plus conjugate pair
+    (0.25, ZSign.POSITIVE),                      # two conjugate pairs, 3 left spliced into 0
+    (2.0, ZSign.POSITIVE),                       # beyond the caustic
+])
+def test_one_trace_per_branch_and_gamma_and_sign(gamma, sign):
+    # lambda plays no part in the path: a second lambda gets the same path
+    # objects, and a spliced branch takes its partner's from the cache
+    saddle_mod._trace_branch.cache_clear()
+    keys = [(k, direction) for k in range(4) for direction in Direction]
+    paths = [[trace_steepest(ScaledParams(lam, gamma, sign), k, direction)
+              for k, direction in keys] for lam in (1.0, 200.0)]
+    assert all(a is b for a, b in zip(*paths))
+    assert saddle_mod._trace_branch.cache_info().misses == 8
+
+
+def test_signed_zeros_share_one_trace():
+    # -0.0 == 0.0 and both hash alike, so they share a cache entry: traced
+    # apart, the two give all 8 branches the same bits
+    for sign in ZSign:
+        fresh = []
+        for gamma in (-0.0, 0.0):
+            saddle_mod._trace_branch.cache_clear()
+            fresh.append(_branch_bits(ScaledParams(1.0, gamma, sign)))
+        assert fresh[0] == fresh[1], sign
+        saddle_mod._trace_branch.cache_clear()
+        for gamma in (0.0, -0.0):
+            assert _branch_bits(ScaledParams(1.0, gamma, sign)) == fresh[0]
+        assert saddle_mod._trace_branch.cache_info().misses == 8
+
+
+def test_stall_is_not_cached():
+    sp = ScaledParams(1.0, 3.0097119577698, ZSign.POSITIVE)
+    saddle_mod._trace_branch.cache_clear()
+    stalls = []
+    for _ in range(2):
+        with pytest.raises(PathStalled) as info:
+            trace_steepest(sp, 1, Direction.RIGHT)
+        exc = info.value
+        stalls.append((str(exc), exc.saddle_index, exc.direction, exc.point))
+    assert stalls[0] == stalls[1]
+    info = saddle_mod._trace_branch.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+
+
+@pytest.mark.parametrize("k,controls", [
+    (True, {}), (1.5, {}), (0, {"step": 1e-8}), (0, {"cutoff_radius": math.nan}),
+])
+def test_bad_input_is_refused_before_the_cache(k, controls):
+    saddle_mod._trace_branch.cache_clear()
+    with pytest.raises(ValueError):
+        trace_steepest(ScaledParams(1.0, 0.0, ZSign.NEGATIVE), k, Direction.RIGHT, **controls)
+    info = saddle_mod._trace_branch.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
+def test_trace_defaults_are_unchanged():
+    # the CLI takes its --step and --cutoff defaults from these
+    assert trace_steepest.__kwdefaults__ == {"step": 0.01, "cutoff_radius": 8.0}
+
+
+def test_splice_calls_trace_steepest_once(monkeypatch):
+    # the splice takes the partner's branch from the branch cache, not through
+    # the module attribute, so a wrapper on it sees only the outermost call
+    calls = []
+    traced = saddle_mod.trace_steepest
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return traced(*args, **kwargs)
+
+    monkeypatch.setattr(saddle_mod, "trace_steepest", counted)
+    saddle_mod._trace_branch.cache_clear()
+    sp = ScaledParams(1.0, 0.25, ZSign.POSITIVE)
+    path = saddle_mod.trace_steepest(sp, 3, Direction.LEFT)
+    assert saddles(sp).roots[0] in path.points           # spliced through saddle 0
+    assert len(calls) == 1
 
 
 # ------------------------------------------------ reference predictor-corrector
