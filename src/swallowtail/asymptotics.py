@@ -171,12 +171,15 @@ def pearcey_hill_zeros(n_max: int) -> list[float]:
 
 
 def saddle_contributions(sp: ScaledParams, saddle_set: SaddleSet | None = None) -> list[SaddleContribution]:
-    """Leading-order terms of the saddles on the deformed contour.
+    """Leading-order terms of a fixed set of saddles.
 
     Each term is exp[i lam f(t_k) + i pi/4 - i arg(f''(t_k))/2] *
     sqrt(2 pi / (lam |f''(t_k)|)), with the argument taken in (-pi, pi].
-    For z > 0 below the caustic the contour passes through the two upper
-    half-plane saddles (k = 0, 1); for z < 0 it passes through k = 2, 3, 0.
+    The set is k = 0, 1 for z > 0 below the caustic and k = 2, 3, 0 for
+    z < 0: the contour's own only for |gamma| < 0.8986936755862307 there.
+    Beyond |gamma| ~ 2.4816 saddle 3's term grows (exponent_real +0.366 at
+    gamma = 3): ``leading_from_contributions`` is then 10.2x |Q| off at
+    (0, 10.446606759553491, -5.278031643091578).
     """
     sset = saddle_set if saddle_set is not None else saddles(sp)
     if sset.regime is Regime.DEGENERATE:

@@ -125,7 +125,7 @@ def scale(p: Params) -> ScaledParams:
     """Extract (lambda, gamma, sign z) from an on-plane (x = 0) Q triple.
 
     Raises ``DomainError`` when lambda = |z|^(5/4) overflows a float
-    (|z| > 4.0e246).
+    (|z| > 4.0e246) or underflows to 0 (|z| below about 1.3e-259).
     """
     if p.form is not Form.Q:
         raise ValueError("scale expects form=Q parameters")
@@ -138,6 +138,8 @@ def scale(p: Params) -> ScaledParams:
         lam = az ** 1.25
     except OverflowError:
         raise DomainError(f"lambda = |z|^(5/4) overflows a float at z = {p.z!r}") from None
+    if lam == 0.0:
+        raise DomainError(f"lambda = |z|^(5/4) underflows to 0 at z = {p.z!r}")
     return ScaledParams(
         lam=lam,
         gamma=p.y / az ** 0.75,
@@ -288,11 +290,8 @@ def _descent_angles(fpp: complex):
 
 
 def _nearest_valley(angle: float) -> int:
-    def dist(a, b):
-        d = (a - b) % (2.0 * math.pi)
-        return min(d, 2.0 * math.pi - d)
-
-    return min(range(5), key=lambda k: dist(angle, VALLEY_ANGLES[k]))
+    """The index of the valley centre nearest to ``angle`` in [0, 2 pi)."""
+    return round((angle - math.pi / 10.0) / (2.0 * math.pi / 5.0)) % 5
 
 
 def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
@@ -315,12 +314,13 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     Cauchy-Crofton its length inside the cutoff disk is at most
     5 pi cutoff_radius.
     The saddles come from the cache of ``saddles``: one root solve per
-    (gamma, sign z).  lambda plays no part in the path either, so after
-    validation a branch comes from a cache of its own, keyed on (gamma,
-    sign z, k, direction, step, cutoff radius) and holding the last 16
-    branches, the 8 of one (gamma, sign z) twice over: every caller with
-    that key gets the same ``SteepestPath`` object.  A ``PathStalled`` is
-    not cached, and is raised again on every call.
+    (gamma, sign z).  lambda plays no part in the path either, so a branch
+    comes from a cache of its own, keyed on (gamma, sign z, k, direction,
+    step, cutoff radius) and holding the last 16 branches, the 8 of one
+    (gamma, sign z) twice over: every caller with that key gets the same
+    ``SteepestPath`` object.  The cached core refuses a cutoff radius inside
+    |t_k| before it stalls on a degenerate set; neither that ``ValueError``
+    nor a ``PathStalled`` is cached, so each is raised again on every call.
 
     Complex-conjugate saddles are stored as exact conjugates, and
     f(conj t) = conj f(t), so they share Re f bit for bit: a branch leaving
@@ -332,8 +332,9 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     the same direction, with the same step and cutoff radius, taken from
     the branch cache, which ends in one of the partner's valleys.  The
     partner has Im f(t_j) > 0, so it meets no partner in turn.
-    A ``PathStalled`` carries k, the direction and the point where the
-    trace stopped.
+    A ``PathStalled`` (a degenerate set, no first step off the saddle, the
+    step halved below 1e-7, or |f'| below 1e-13 at an accepted point)
+    carries k, the direction and the point where the trace stopped.
 
     Raises ``ValueError`` for k not an integer 0..3, a step below 1e-7, a
     step or cutoff radius that is not finite, a cutoff radius inside |t_k|,
@@ -352,19 +353,18 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     except OverflowError:
         raise ValueError(f"cutoff_radius {cutoff_radius!r} is so large that the phase "
                          "there, its fifth power, overflows a float") from None
-    t0 = saddles(sp).roots[k]
-    if cutoff_radius <= abs(t0):
-        raise ValueError(f"cutoff_radius {cutoff_radius!r} does not exceed "
-                         f"|t_{k}| = {abs(t0)!r}")
     return _trace_branch(sp.gamma, sp.sign_z, k, direction, step, cutoff_radius)
 
 
 @functools.lru_cache(maxsize=16)
 def _trace_branch(gamma: float, sign_z: ZSign, k: int, direction: Direction,
                   step: float, cutoff_radius: float) -> SteepestPath:
-    """The branch of ``trace_steepest`` for validated controls."""
+    """The branch of ``trace_steepest``; the cutoff is checked here, against |t_k|."""
     sset = _solve_saddles(gamma, sign_z)
     t0 = sset.roots[k]
+    if cutoff_radius <= abs(t0):
+        raise ValueError(f"cutoff_radius {cutoff_radius!r} does not exceed "
+                         f"|t_{k}| = {abs(t0)!r}")
 
     def stalled(message, point=None):
         return PathStalled(message, saddle_index=k, direction=direction, point=point)
@@ -372,11 +372,7 @@ def _trace_branch(gamma: float, sign_z: ZSign, k: int, direction: Direction,
     if sset.regime is Regime.DEGENERATE:
         raise stalled("saddle set is degenerate; no isolated branch to trace")
     f0 = phase(t0, gamma, sign_z)
-    fpp = phase_second_derivative(t0, gamma)
-    if abs(fpp) < 1e-12:
-        raise stalled("vanishing second derivative at the saddle")
-
-    a1, a2 = _descent_angles(fpp)
+    a1, a2 = _descent_angles(phase_second_derivative(t0, gamma))
     c1 = math.cos(a1)
     a1_right = c1 > 0 if abs(c1) > 1e-9 else math.sin(a1) > 0
     alpha = a1 if a1_right == (direction is Direction.RIGHT) else a2
@@ -412,10 +408,6 @@ def _trace_branch(gamma: float, sign_z: ZSign, k: int, direction: Direction,
             fp = u4 + gamma * u + sigma
             df = f - f0
             level = df.real
-            # max(1, |f|) >= 1, so |level| <= tol accepts without |f|
-            if -tol <= level <= tol:
-                height = -df.imag
-                break
             af = abs(f)
             if abs(level) <= tol * (af if af > 1.0 else 1.0):
                 height = -df.imag

@@ -222,6 +222,14 @@ def test_degenerate_scaling_exit_2(capsys):
     assert issubclass(swallowtail.SeedOutOfRange, swallowtail.DomainError)
 
 
+def test_lambda_underflow_exit_2(capsys):
+    # lambda = |z|^(5/4) rounds to 0 at z = 1e-300: the error names it, not
+    # ScaledParams' "lam" field
+    code, out, err = run_cli(capsys, ["saddles", "--y=1", "--z=1e-300"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "underflows" in err
+
+
 def test_tolerance_not_reached_exit_3(capsys):
     code, _, err = run_cli(capsys, ["eval", "--x", "0", "--y", "0", "--z", "50",
                                     "--tol", "1e-12", "--max-subdivisions", "8"])

@@ -121,6 +121,16 @@ def test_contour_independence(cfg):
         assert abs(a.value - b) <= a.abs_error_estimate + b_err
 
 
+@pytest.mark.parametrize("angles", [
+    (math.pi / 2, math.pi / 10),         # sin 3 theta = -1 on the first ray
+    (0.9 * math.pi, -math.pi / 10),      # sin theta < 0 on the second
+])
+def test_ray_sines_refuse_rays_outside_the_majorant_sectors(angles):
+    # the majorant holds only where sin theta and sin 3 theta are both >= 0
+    with pytest.raises(ValueError, match="sin"):
+        _ray_sines(angles)
+
+
 def test_truncation_soundness(cfg, monkeypatch):
     radii = oracle._truncation_radii
     for (x, y, z) in [(0.0, 0.0, 0.0), (1.0, -1.0, 2.0), (0.0, 1.5, -3.0)]:

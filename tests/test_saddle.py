@@ -10,6 +10,7 @@ from swallowtail import asymptotics
 from swallowtail import (
     DegenerateScaling,
     Direction,
+    DomainError,
     Form,
     Params,
     PathStalled,
@@ -65,6 +66,15 @@ def test_scale_rejects_degenerate_and_off_plane():
     for lam in (0.0, math.inf):
         with pytest.raises(ValueError, match="lam must be positive and finite"):
             ScaledParams(lam, 0.0, ZSign.POSITIVE)
+
+
+@pytest.mark.parametrize("z", [1e-300, -1e-300, 1.3e-259, 5e-324])
+def test_scale_names_lambda_underflow(z):
+    # lambda = |z|^(5/4) rounds to 0 below |z| ~ 1.3e-259; ScaledParams would
+    # refuse it as "lam must be ...", a field the caller never passed
+    with pytest.raises(DomainError, match="underflows"):
+        scale(Params(0.0, 1.0, z))
+    assert scale(Params(0.0, 1.0, math.copysign(1.4e-259, z))).lam == 5e-324
 
 
 @pytest.mark.parametrize("gamma", [1e300, -1e300])
@@ -588,6 +598,55 @@ def test_trace_rejects_degenerate():
     sp = ScaledParams(1.0, caustic_gamma(), ZSign.POSITIVE)
     with pytest.raises(PathStalled):
         trace_steepest(sp, 1, Direction.LEFT)
+
+
+@pytest.mark.parametrize("gamma,sign", [(0.0, ZSign.NEGATIVE), (GAMMA_CAUSTIC, ZSign.POSITIVE)])
+def test_cutoff_inside_the_saddle_is_refused_on_every_call(gamma, sign):
+    # the cached core looks the saddle up and refuses the cutoff before all
+    # else: a ValueError on every call, none cached, and ahead of the
+    # degenerate set's PathStalled at the caustic
+    sp = ScaledParams(1.0, gamma, sign)
+    saddle_mod._trace_branch.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"cutoff_radius 0\.5 does not exceed \|t_1\|"):
+            trace_steepest(sp, 1, Direction.LEFT, cutoff_radius=0.5)
+    info = saddle_mod._trace_branch.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+
+
+@pytest.mark.parametrize("mirror", [1.0, -1.0])
+def test_second_derivative_is_bounded_next_to_the_caustic(mirror):
+    # the tracer has no stall for a vanishing f''(t_k): a degenerate set
+    # stalls first, and every other set within 6 000 ulps of either caustic
+    # keeps |f''| >= 3.1e-7 (least 40 ulps nearer 0 than it), far above rounding
+    least = math.inf
+    for n in range(-6000, 6001):
+        gamma = mirror * (GAMMA_CAUSTIC + n * _ULP)
+        sset = saddle_mod._solve_saddles.__wrapped__(gamma, ZSign.POSITIVE)
+        if sset.regime is not Regime.DEGENERATE:
+            least = min(least, *(abs(phase_second_derivative(t, gamma)) for t in sset.roots))
+    assert least >= 1e-8
+
+
+def test_second_derivative_is_bounded_on_a_gamma_sweep(rng):
+    for sign in ZSign:
+        for gamma in rng.uniform(-5.0, 5.0, 2000):
+            sset = saddle_mod._solve_saddles.__wrapped__(float(gamma), sign)
+            if sset.regime is not Regime.DEGENERATE:
+                assert min(abs(phase_second_derivative(t, gamma)) for t in sset.roots) >= 1e-8
+
+
+def _nearest_valley_by_search(angle):
+    """The valley centre nearest to angle around the circle, by the five-way
+    search that the tracer's closed form replaced."""
+    return min(range(5), key=lambda k: _angdist(angle, VALLEY_ANGLES[k]))
+
+
+def test_sector_closed_form_matches_the_nearest_valley_search(rng):
+    angles = [*rng.uniform(0.0, 2.0 * math.pi, 10000), *VALLEY_ANGLES, 0.0, 2.0 * math.pi]
+    for angle in map(float, angles):
+        assert _nearest_valley(angle) == _nearest_valley_by_search(angle), angle
+    assert [_nearest_valley(a) for a in VALLEY_ANGLES] == list(range(5))
 
 
 def test_polyline_serialization():
