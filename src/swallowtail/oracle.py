@@ -8,9 +8,9 @@ exp(-r^5/5), so the integrand decays super-Gaussianly on each ray no matter
 what (x, y, z) are.  Everything else is standard machinery: an a-priori
 truncation radius with a certified tail bound (the positive root of two
 quintics, found by Newton steps from a closed-form upper bound, in numpy for
-a whole pass of ``_RADIUS_BATCH`` points or more), and an adaptive
-Gauss-Kronrod rule on each truncated ray.  The quintics, and the scan jets'
-tail bound, come from one per-ray majorant of the integrand (``_ray_sines``).
+a whole pass at once), and an adaptive Gauss-Kronrod rule on each
+truncated ray.  The quintics, and the scan jets' tail bound, come from one
+per-ray majorant of the integrand (``_ray_sines``).
 
 One kernel, ``_integrate_points``, does all the quadrature.  It takes any
 number of points and sizes its own passes over them: in a pass each (point,
@@ -121,10 +121,6 @@ _PANEL_BLOCK = 256
 # estimate arrays with points times ks, and its set-up cost stays small
 # against the quadrature.
 _POINT_PASS = 512
-# Points from which a pass finds its truncation radii with numpy: on two shared
-# cores the array form costs 70-100 us for 1 to 64 points, the scalar form about
-# 6 us per point (they cross near 13); the benchmarks' passes hold 1, 16 or 20.
-_RADIUS_BATCH = 8
 # A scan line's y jet (``_y_jets``): at most this many terms, and the share of
 # the tolerance its truncation may take
 _JET_TERMS = 40
@@ -148,53 +144,33 @@ class EvalResult:
             raise ValueError("abs_error_estimate must be finite and nonnegative")
 
 
-def _positive_root(a: float, b: float, c: float, d: float, e: float) -> float:
-    """max(1, r*) for the positive root r* of p(r) = a r^5 - b r^3 - c r^2 - d r - e.
+def _positive_roots(a, b, c, d, e):
+    """max(1, r*) for the positive root r* of p(r) = a r^5 - b r^3 - c r^2 - d r - e,
+    elementwise over arrays.
 
     With a > 0 and b, c, d, e >= 0, p(r)/r^5 increases, so r* is unique, and
-    p is increasing and convex on [r*, inf).  Newton steps started above r*
+    p is increasing and convex on [r*, inf).  8 Newton steps started above r*
     therefore fall monotonically onto it.  The start makes each negative term
-    at most a r^5 / 4, so p is nonnegative there.
-    """
-    r = max(1.0, math.sqrt(4.0 * b / a), (4.0 * c / a) ** (1.0 / 3.0),
-            (4.0 * d / a) ** 0.25, (4.0 * e / a) ** 0.2)
-    return max(1.0, _newton_steps(r, a, b, c, d, e))
-
-
-def _positive_roots(a, b, c, d, e):
-    """``_positive_root`` elementwise over arrays, bit for bit.
-
-    np.float_power's float64 loop is libm's pow, as Python's ** is; np.power
-    has a SIMD loop that differs from it in the last bit for ~5 % of inputs.
+    at most a r^5 / 4, so p is nonnegative there.  Where a step overflows,
+    the root is NaN.  np.float_power's float64 loop is libm's pow, with
+    which every pinned radius was computed; np.power has a SIMD loop that
+    differs from it in the last bit for ~5 % of inputs.
     """
     r = 1.0
     for start in (np.sqrt(4.0 * b / a), np.float_power(4.0 * c / a, 1.0 / 3.0),
                   np.float_power(4.0 * d / a, 0.25), np.float_power(4.0 * e / a, 0.2)):
         r = np.maximum(r, start)
-    return np.maximum(1.0, _newton_steps(r, a, b, c, d, e))
-
-
-def _newton_steps(r, a, b, c, d, e):
-    """8 Newton steps on p(r) = a r^5 - b r^3 - c r^2 - d r - e, for floats or arrays."""
     a5, b3, c2 = 5.0 * a, 3.0 * b, 2.0 * c
     for _ in range(8):
         r2 = r * r
         p = ((a * r2 - b) * r - c) * r2 - d * r - e
         r = r - p / ((a5 * r2 - b3) * r2 - c2 * r - d)
-    return r
+    return np.maximum(1.0, r)
 
 
-def _tail_quintics(cx, cy, cz, k: int, log_target: float, s: float):
-    """(a, b, c, d, e) of the value and the slope conditions of
-    ``_truncation_radius``, with cx = S_3 x^-, cy = S_2 |y|, cz = S_1 z^-."""
-    # clamping the constant at 0 can only raise the root
-    return ((s / 5.0, cx / 3.0, cy / 2.0, cz + k, max(0.0, log_target - k)),
-            (s, cx, cy, cz + k + 1.0, 0.0))
-
-
-def _truncation_radius(x: float, y: float, z: float, k: int, log_target: float,
-                       sines) -> float:
-    """Smallest radius beyond which the integrand tail is provably negligible.
+def _truncation_radii(x, y, z, k: int, log_target: float, sines):
+    """Smallest radius beyond which the integrand tail is provably
+    negligible, at every point of the arrays x, y, z.
 
     On rays with ``_ray_sines`` (S_1, S_2, S_3, s), s > 0, the integrand
     modulus of r^k exp(i*phase) is at most r^k exp(-g(r)) with
@@ -204,30 +180,19 @@ def _truncation_radius(x: float, y: float, z: float, k: int, log_target: float,
     Using r^k <= exp(k (r-1)), the tail beyond R is bounded by exp(-gk(R))
     once gk(r) = g(r) - k(r-1) satisfies gk >= log_target and gk' >= 1 for
     all r >= R.  Both conditions are quintics of the form that
-    ``_positive_root`` solves (the second one multiplied by r).
+    ``_positive_roots`` solves (the second one multiplied by r).  A point's
+    radius does not depend on the other points passed with it; where Newton
+    overflows it is NaN, and the kernel's values there are not finite.
     """
     s1, s2, s3, s = sines
-    r_val, r_slope = (_positive_root(*q) for q in _tail_quintics(
-        s3 * max(-x, 0.0), s2 * abs(y), s1 * max(-z, 0.0), k, log_target, s))
-    return max(r_val, r_slope) * (1.0 + 1e-9) + 1e-12
-
-
-def _truncation_radii(x, y, z, k: int, log_target: float, sines):
-    """``_truncation_radius`` at every point of the arrays x, y, z, bit for bit.
-
-    Below ``_RADIUS_BATCH`` points the scalar form is faster; from there on,
-    the arrays.
-    """
-    if x.size < _RADIUS_BATCH:
-        return np.array([_truncation_radius(a, b, c, k, log_target, sines)
-                         for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())])
-    s1, s2, s3, s = sines
-    quintics = _tail_quintics(s3 * np.maximum(-x, 0.0), s2 * np.abs(y),
-                              s1 * np.maximum(-z, 0.0), k, log_target, s)
-    # each coefficient as a (2, N) array: row 0 the value condition, row 1 the slope
+    cx, cy, cz = s3 * np.maximum(-x, 0.0), s2 * np.abs(y), s1 * np.maximum(-z, 0.0)
+    # each coefficient as a (2, N) array: row 0 the value condition, row 1
+    # the slope; clamping the value's constant at 0 can only raise its root
     coef = np.empty((5, 2, x.size))
-    for rows, pair in zip(coef, zip(*quintics)):
-        rows[0], rows[1] = pair
+    for rows, value, slope in zip(coef, (s / 5.0, cx / 3.0, cy / 2.0, cz + k,
+                                         max(0.0, log_target - k)),
+                                  (s, cx, cy, cz + k + 1.0, 0.0)):
+        rows[0], rows[1] = value, slope
     r_val, r_slope = _positive_roots(*coef)
     return np.maximum(r_val, r_slope) * (1.0 + 1e-9) + 1e-12
 

@@ -34,6 +34,10 @@ from .params import Form, Params
 VALLEY_ANGLES = tuple(math.pi / 10.0 + 2.0 * math.pi * k / 5.0 for k in range(5))
 
 _MIN_STEP = 1e-7          # the tracer's step floor and least step option
+# The largest cutoff radius whose fifth power, the size of the phase there,
+# a float holds (62 ulps below float max ** 0.2); a saddle at or beyond it
+# lies outside every cutoff the tracer takes.
+_MAX_CUTOFF = 4.476546622757235e61
 
 # The root polish raises the largest root, about |gamma|^(1/3), to the 4th
 # power; below this bound |gamma|^(4/3) stays under a quarter of the float range.
@@ -318,9 +322,10 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
     comes from a cache of its own, keyed on (gamma, sign z, k, direction,
     step, cutoff radius) and holding the last 16 branches, the 8 of one
     (gamma, sign z) twice over: every caller with that key gets the same
-    ``SteepestPath`` object.  The cached core refuses a cutoff radius inside
-    |t_k| before it stalls on a degenerate set; neither that ``ValueError``
-    nor a ``PathStalled`` is cached, so each is raised again on every call.
+    ``SteepestPath`` object.  The cached core refuses a saddle that no
+    cutoff radius can enclose, then a cutoff radius inside |t_k|, before it
+    stalls on a degenerate set; neither refusal nor a ``PathStalled`` is
+    cached, so each is raised again on every call.
 
     Complex-conjugate saddles are stored as exact conjugates, and
     f(conj t) = conj f(t), so they share Re f bit for bit: a branch leaving
@@ -338,7 +343,9 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
 
     Raises ``ValueError`` for k not an integer 0..3, a step below 1e-7, a
     step or cutoff radius that is not finite, a cutoff radius inside |t_k|,
-    or one whose fifth power overflows a float (beyond 4.47e61).
+    or one whose fifth power overflows a float (beyond 4.47e61), and
+    ``DomainError`` for a saddle with |t_k| >= 4.47e61 (|gamma| above about
+    9.0e184), which every valid cutoff radius leaves outside.
     """
     if not isinstance(direction, Direction):
         direction = Direction(direction)
@@ -348,20 +355,23 @@ def trace_steepest(sp: ScaledParams, k: int, direction: Direction, *,
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if step < _MIN_STEP:
         raise ValueError(f"step must be at least {_MIN_STEP!r}, got {step!r}")
-    try:
-        cutoff_radius ** 5        # the phase at the cutoff radius
-    except OverflowError:
+    if cutoff_radius > _MAX_CUTOFF:
         raise ValueError(f"cutoff_radius {cutoff_radius!r} is so large that the phase "
-                         "there, its fifth power, overflows a float") from None
+                         "there, its fifth power, overflows a float")
     return _trace_branch(sp.gamma, sp.sign_z, k, direction, step, cutoff_radius)
 
 
 @functools.lru_cache(maxsize=16)
 def _trace_branch(gamma: float, sign_z: ZSign, k: int, direction: Direction,
                   step: float, cutoff_radius: float) -> SteepestPath:
-    """The branch of ``trace_steepest``; the cutoff is checked here, against |t_k|."""
+    """The branch of ``trace_steepest``; |t_k| is checked here, against
+    ``_MAX_CUTOFF`` and the cutoff."""
     sset = _solve_saddles(gamma, sign_z)
     t0 = sset.roots[k]
+    if not abs(t0) < _MAX_CUTOFF:
+        raise DomainError(f"saddle {k} lies at |t_{k}| = {abs(t0)!r}, at or beyond "
+                          f"{_MAX_CUTOFF!r}, the largest radius whose fifth power a float "
+                          "holds: no branch of it can be traced")
     if cutoff_radius <= abs(t0):
         raise ValueError(f"cutoff_radius {cutoff_radius!r} does not exceed "
                          f"|t_{k}| = {abs(t0)!r}")

@@ -230,6 +230,16 @@ def test_lambda_underflow_exit_2(capsys):
     assert err.startswith("error: ") and "underflows" in err
 
 
+def test_untraceable_saddle_exit_2(capsys):
+    # saddle 0 at y = 1, z = 1e-258 lies at |t_0| = 3.2e64, beyond every
+    # cutoff radius whose fifth power a float holds: the error names the
+    # saddle, not a cutoff_radius the caller never passed
+    code, out, err = run_cli(capsys, ["trace", "--y=1", "--z=1e-258", "--saddle", "0",
+                                      "--direction", "left"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "saddle 0" in err and "cutoff_radius" not in err
+
+
 def test_tolerance_not_reached_exit_3(capsys):
     code, _, err = run_cli(capsys, ["eval", "--x", "0", "--y", "0", "--z", "50",
                                     "--tol", "1e-12", "--max-subdivisions", "8"])

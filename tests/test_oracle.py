@@ -20,7 +20,6 @@ from swallowtail import (
 from swallowtail.oracle import (
     DEFAULT_RAY_ANGLES,
     _POINT_PASS,
-    _RADIUS_BATCH,
     _RAY_SINES,
     _cexp,
     _integrate,
@@ -30,7 +29,6 @@ from swallowtail.oracle import (
     _moment_recurrence,
     _ray_sines,
     _truncation_radii,
-    _truncation_radius,
     _y_jets,
 )
 from conftest import q_axis_series
@@ -359,6 +357,12 @@ def _majorant_coefficients(x, y, z, sines):
     return s3 * max(-x, 0.0), s2 * abs(y), s1 * max(-z, 0.0), s
 
 
+def _radius(x, y, z, k, log_target):
+    """``_truncation_radii`` at the one point (x, y, z) on the default rays."""
+    return float(_truncation_radii(np.array([x]), np.array([y]), np.array([z]), k,
+                                   log_target, _RAY_SINES)[0])
+
+
 def _reference_radius(x, y, z, k, log_target, sines):
     """The eigenvalue form of the truncation radius: both conditions by np.roots."""
     cx, cy, cz, s = _majorant_coefficients(x, y, z, sines)
@@ -383,7 +387,7 @@ def test_truncation_radius_matches_eigenvalue_form():
     @hypothesis.given(coord, coord, coord, st.integers(0, 4), st.floats(-14.0, -2.0))
     def check(x, y, z, k, log10_tol):
         log_target = math.log(2.0 * 10.0 / 10.0 ** log10_tol)
-        radius = _truncation_radius(x, y, z, k, log_target, _RAY_SINES)
+        radius = _radius(x, y, z, k, log_target)
         reference = _reference_radius(x, y, z, k, log_target, _RAY_SINES)
         # np.roots is itself only good to ~1e-14 relative, so "not below the
         # reference" allows that much; the tail conditions are checked exactly
@@ -414,7 +418,7 @@ def test_ray_tail_lies_below_its_majorant_and_within_its_share():
     def check(x, y, z, k, log10_tol, steps):
         tol = 10.0 ** log10_tol
         log_target = math.log(2.0 * safety / tol)
-        radius = _truncation_radius(x, y, z, k, log_target, _RAY_SINES)
+        radius = _radius(x, y, z, k, log_target)
         with mpmath.workdps(40):
             cx, cy, cz, s = (mpmath.mpf(c) for c in _majorant_coefficients(x, y, z, _RAY_SINES))
             for theta in DEFAULT_RAY_ANGLES:
@@ -437,21 +441,25 @@ def test_ray_tail_lies_below_its_majorant_and_within_its_share():
     check()
 
 
-def test_batched_radius_equals_scalar_radius():
-    # a pass's radii must not depend on how many points it holds, so the
-    # array form must give the scalar form's bits, Newton start included
-    rng = np.random.default_rng(20261018)
+def test_radius_does_not_depend_on_its_pass():
+    # a point's radius alone equals its radius among 1 000 others, bit for
+    # bit, NaN where Newton overflows included: at the first three points a
+    # scalar twin of the solver read max(1, nan) = 1 and gave 1.0000000010010002
+    rng = np.random.default_rng(20261022)
     n = 1000
-    for k in range(5):
-        for tol in (1e-14, 1e-11, 1e-8, 1e-3):
+    overflows = np.array([(0.0, 0.0, -1e248), (0.0, 1e200, 0.0), (-1e150, 0.0, 0.0)]).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, tol in zip(range(5), (1e-14, 1e-11, 1e-8, 1e-5, 1e-3)):
             log_target = math.log(2.0 * 10.0 / tol)
-            x, y, z = rng.uniform(-1.0, 1.0, (3, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (3, n))
-            x[: n // 2] = 0.0
+            x, y, z = rng.choice((-1.0, 1.0), (3, n)) * 10.0 ** rng.uniform(-3.0, 300.0, (3, n))
+            x[n // 2:] = 0.0
+            x[:3], y[:3], z[:3] = overflows
             batched = _truncation_radii(x, y, z, k, log_target, _RAY_SINES)
-            scalar = [_truncation_radius(a, b, c, k, log_target, _RAY_SINES)
-                      for a, b, c in zip(x.tolist(), y.tolist(), z.tolist())]
-            assert n >= _RADIUS_BATCH
-            assert batched.tolist() == scalar
+            alone = np.concatenate([_truncation_radii(x[i:i + 1], y[i:i + 1], z[i:i + 1], k,
+                                                      log_target, _RAY_SINES)
+                                    for i in range(n)])
+            assert np.isnan(batched[:3]).all()
+            assert np.array_equal(alone, batched, equal_nan=True)
 
 
 def test_half_angle_exp_matches_numpy():

@@ -614,6 +614,29 @@ def test_cutoff_inside_the_saddle_is_refused_on_every_call(gamma, sign):
     assert (info.misses, info.currsize) == (2, 0)
 
 
+def test_max_cutoff_is_the_largest_radius_with_a_finite_fifth_power():
+    cutoff = saddle_mod._MAX_CUTOFF
+    assert math.isfinite(cutoff ** 5)
+    with pytest.raises(OverflowError):
+        math.nextafter(cutoff, math.inf) ** 5
+    with pytest.raises(ValueError, match="fifth power"):
+        trace_steepest(ScaledParams(1.0, 0.0, ZSign.NEGATIVE), 0, Direction.RIGHT,
+                       cutoff_radius=math.nextafter(cutoff, math.inf))
+
+
+def test_saddle_beyond_every_cutoff_is_a_domain_error():
+    # at y = 1, z = 1e-258 saddle 0 lies at |t_0| = 3.2e64, and every cutoff
+    # radius beyond it has a fifth power that overflows a float: the default
+    # cutoff was refused by name, a flag the caller never passed
+    sp = scale(Params(0.0, 1.0, 1e-258))
+    saddle_mod._trace_branch.cache_clear()
+    for _ in range(2):
+        with pytest.raises(DomainError, match=r"saddle 0 lies at \|t_0\| = 3\.16\d*e\+64") as info:
+            trace_steepest(sp, 0, Direction.LEFT)
+        assert "cutoff_radius" not in str(info.value)
+    assert saddle_mod._trace_branch.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("mirror", [1.0, -1.0])
 def test_second_derivative_is_bounded_next_to_the_caustic(mirror):
     # the tracer has no stall for a vanishing f''(t_k): a degenerate set
